@@ -1,13 +1,15 @@
-//! The experiment harness: regenerates every table in EXPERIMENTS.md.
+//! The experiment harness: regenerates every table of the paper
+//! reproduction.
 //!
 //! Usage:
 //! ```text
 //! experiments [--quick] [--trials N] [--seed S] [--csv] <id>... | all | list
 //! ```
 //!
-//! Experiment ids follow DESIGN.md §5 (e1..e10, a1..a3). `all` runs the
-//! whole suite in order; `list` prints the ids. Output is markdown by
-//! default (`--csv` switches the table body to CSV).
+//! Experiment ids are listed in the README's "The experiment suite"
+//! section (e1..e12, a1..a3b, r1). `all` runs the whole suite in order;
+//! `list` prints the ids. Output is markdown by default (`--csv` switches
+//! the table body to CSV).
 
 use crn_workloads::experiments::{run_experiment, ExpConfig, ALL_EXPERIMENTS};
 use std::time::Instant;

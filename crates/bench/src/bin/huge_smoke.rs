@@ -10,12 +10,14 @@
 //!   average degree 8 — the old eager per-node bitset alone would be
 //!   n²/8 = 1.25 GB at this size);
 //! * the engine's internal state (SoA node arrays, renumbering maps,
-//!   internal CSR, shard scratch) stays linear;
+//!   internal CSR, channel tables, per-chunk and per-group scratch) stays
+//!   linear, before and after every phase has run split on the pool;
 //! * the *process peak RSS* (`VmHWM`) stays under a bound that any
 //!   quadratic term blows past by an order of magnitude — this catches
 //!   transient setup spikes that a post-hoc footprint sum cannot;
 //! * the engine actually runs: slots complete and messages are
-//!   delivered under the sharded resolver with pooled phase 1.
+//!   delivered, and a 4-thread engine at this size splits collection,
+//!   resolution and delivery on every slot.
 //!
 //! Run by CI as `cargo run --release -p crn-bench --bin huge_smoke`.
 
@@ -127,15 +129,26 @@ fn main() {
         "engine internal state {engine_bytes} bytes exceeds the linear budget {STRUCTURE_LIMIT}"
     );
 
+    eng.set_phase_timing(true);
     eng.run_to_completion(slots);
     let deliveries = eng.counters().deliveries;
     println!("huge_smoke: {slots} slots, {deliveries} deliveries");
     assert!(deliveries > 0, "the engine must deliver messages at this density");
+    let pt = eng.phase_timings().expect("timing is on");
+    println!(
+        "huge_smoke: split slots: collect {}, resolve {}, deliver {}",
+        pt.collect_pooled_slots, pt.resolve_sharded_slots, pt.deliver_pooled_slots
+    );
+    assert_eq!(
+        (pt.collect_pooled_slots, pt.resolve_sharded_slots, pt.deliver_pooled_slots),
+        (slots, slots, slots),
+        "n = {n} on 4 threads must split every phase of every slot"
+    );
 
-    // Re-assert *after* the run: pooled phase-1 collection and pooled
-    // phase-3 delivery (both engaged here — n = 10⁵ on a 4-way sharded
-    // resolver) allocate their shard scratch lazily on first use, so only
-    // a post-run measurement proves that scratch is O(n + m) too and that
+    // Re-assert *after* the run: multi-chunk collection, resolution and
+    // delivery (all engaged here — n = 10⁵ on a 4-thread engine) allocate
+    // their per-chunk and per-group scratch on first use, so only a
+    // post-run measurement proves that scratch is O(n + m) too and that
     // no hidden O(n·threads) buffer appeared.
     let engine_bytes_after = eng.internal_memory_bytes();
     println!(
@@ -145,7 +158,7 @@ fn main() {
     assert!(
         engine_bytes_after < STRUCTURE_LIMIT,
         "post-run engine state {engine_bytes_after} bytes exceeds the linear budget \
-         {STRUCTURE_LIMIT}: pooled collect/deliver scratch is no longer O(n + m)"
+         {STRUCTURE_LIMIT}: pooled scratch is no longer O(n + m)"
     );
 
     match crn_bench::peak_rss_bytes() {

@@ -8,8 +8,8 @@
 //!   uniform hopping with per-slot transmission probability
 //!   `min(1/2, c/(2Δ))`, the rate that balances meeting probability against
 //!   contention and provably attains the quoted bound's shape. (The exact
-//!   algorithm of \[25\] targets a slightly different model; DESIGN.md
-//!   documents this substitution.)
+//!   algorithm of \[25\] targets a slightly different model; the README's
+//!   "The experiment suite" section documents this substitution.)
 //! * [`NaiveBroadcast`] — the naive global broadcast of §1: informed nodes
 //!   hop and transmit, uninformed nodes hop and listen. Time `Õ((c²/k)·D)`.
 

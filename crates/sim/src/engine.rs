@@ -1,42 +1,41 @@
 //! The synchronous slot-stepped execution engine.
 //!
-//! Each slot runs a batched three-stage pipeline:
+//! Each slot runs a three-phase pipeline. Every phase has exactly one
+//! body, written once over `k` contiguous chunks of its input:
 //!
-//! 1. **Batched action collection** — node actions are collected through
-//!    the bulk [`Protocol::act_batch`] entry point (scalar [`Protocol::act`]
-//!    per node by default; ported protocols draw their randomness from
-//!    pre-filled, stream-identical word buffers) into a flat,
-//!    channel-bucketed action table: local labels are translated through a
-//!    precomputed flat `(node, label) → dense channel` table, per-channel
-//!    populations are counted with epoch-stamped first-touch detection
-//!    (nothing is ever bulk-cleared), and a counting-sort scatter produces
-//!    contiguous per-channel broadcaster and listener buckets (CSR layout,
-//!    ascending node order). On a [`Resolver::ParallelSharded`] engine with
-//!    `n ≥` [`Engine::phase1_pool_min_nodes`], collection itself runs on
-//!    the worker pool in contiguous node-range chunks: each worker builds
-//!    chunk-local counts and buckets, and the caller merges them by
-//!    prefix-sum — first-touch channel order and ascending-node bucket
-//!    order are preserved exactly, so the pooled path is bit-identical to
-//!    the sequential one (see `collect_pooled`).
-//! 2. **Per-channel resolution** — for each touched channel, classify every
-//!    listener: it hears a message iff **exactly one** of its neighbors
-//!    broadcast on the listened channel. Channels are independent within a
-//!    slot, so [`Resolver::ParallelSharded`] partitions the touched channels
-//!    across the calling thread plus a persistent [`WorkerPool`] of parked
-//!    workers (per-shard scratch, deterministic cost-balanced partition,
-//!    one atomic-generation wake per slot — see [`crate::pool`]); every
-//!    other [`Resolver`] runs the same per-channel strategies sequentially.
-//!
-//! 3. **Batched feedback delivery** — one counting sweep over the packed
-//!    outcome array folds the per-outcome counters, then the bulk
+//! 1. **Action collection**, over `k` node ranges. Each chunk collects its
+//!    nodes' actions through the bulk [`Protocol::act_batch`] entry point
+//!    (scalar [`Protocol::act`] per node by default; ported protocols draw
+//!    their randomness from pre-filled, stream-identical word buffers) into
+//!    its own channel-bucketed action table: local labels are translated
+//!    through a precomputed flat `(node, label) → dense channel` table,
+//!    per-channel populations are counted with epoch-stamped first-touch
+//!    detection (nothing is ever bulk-cleared), and a counting-sort scatter
+//!    produces contiguous per-channel broadcaster and listener buckets (CSR
+//!    layout, ascending node order). With one chunk, that table *is* the
+//!    slot's table. With more, the chunk tables merge in chunk order, which
+//!    reproduces the one-chunk first-touch channel order and ascending-node
+//!    bucket order exactly.
+//! 2. **Per-channel resolution**, over `k` cost-balanced groups of touched
+//!    channels: a listener hears a message iff **exactly one** of its
+//!    neighbors broadcast on the listened channel. Channels are independent
+//!    within a slot, so each group resolves with its own scratch into a
+//!    private buffer that is scattered after the join; a single group
+//!    writes the outcomes in place.
+//! 3. **Feedback delivery**, over `k` node ranges: a counting sweep folds
+//!    each chunk's packed outcomes into a counter delta, then the bulk
 //!    [`Protocol::feedback_batch`] entry point (scalar
 //!    [`Protocol::feedback`] per node by default) hands each protocol its
-//!    outcome, with heard messages passed by reference out of the
-//!    broadcasters' action buffer (the engine never clones a payload). On a
-//!    [`Resolver::ParallelSharded`] engine with `n ≥`
-//!    [`Engine::phase3_pool_min_nodes`], delivery runs on the worker pool
-//!    in contiguous node-range chunks, each folding its own counter delta;
-//!    the deltas merge in chunk order to exactly the sequential totals.
+//!    outcome, with heard messages passed by reference out of the slot's
+//!    action buffer (the engine never clones a payload). The deltas merge
+//!    in chunk order to exactly the one-chunk totals.
+//!
+//! `k` follows from the input alone, never from a clock: a
+//! [`Resolver::ParallelSharded`] engine on a network of at least 2048 nodes
+//! uses `k = threads` in every phase, chunk 0 on the calling thread and the
+//! rest on its persistent [`WorkerPool`] (one atomic-generation wake per
+//! phase — see [`crate::pool`]). Every other engine uses `k = 1`, which
+//! runs inline: no pool wake, no merge, no copy.
 //!
 //! This is precisely the communication model of paper §3 (no collision
 //! detection, collision ≡ silence, broadcasters hear only themselves).
@@ -54,8 +53,8 @@
 //! # Slot resolution strategies
 //!
 //! Resolution cost is where simulation time goes for every Θ(n·polylog n)
-//! primitive in this repo, so the resolver adapts per channel and per slot
-//! (see [`Resolver`]):
+//! primitive in this repo, so [`Resolver::Auto`] adapts per channel and per
+//! slot between two strategies:
 //!
 //! * **Broadcaster-centric sweep** — walk each broadcaster's CSR neighbor
 //!   slice once, accumulating per-listener hit counts in epoch-stamped
@@ -67,20 +66,20 @@
 //!   intersecting its adjacency row with the channel's broadcaster bit set
 //!   word-by-word ([`BitSet::intersect_unique`]) — each with early exit at
 //!   the second hit (a collision is a collision).
-//! * The [`Resolver::Auto`] heuristic compares `Σ_b deg(b)` (weighted for
-//!   its scattered writes) against the summed per-listener probe bound
-//!   `Σ_l min(B, deg(l), n/64)` and picks the cheaper side for each channel
-//!   independently. [`Resolver::ParallelSharded`] applies the same
-//!   heuristic inside each shard.
 //!
-//! All strategies — including the sharded one at any thread count — produce
-//! bit-identical counters, feedbacks, and outputs; `Resolver::Naive` keeps
-//! the original quadratic reference implementation for differential testing
-//! and benchmarking. Resolution itself is deterministic (the model has no
-//! channel noise), which is what makes sharding observationally invisible;
-//! any *future* randomized channel effect must draw from the per-(slot,
-//! channel) streams of [`Engine::channel_rng`], which are keyed by what is
-//! being resolved rather than by visit order, preserving that invariant.
+//! The choice compares `Σ_b deg(b)` (weighted for its scattered writes)
+//! against the summed per-listener probe bound `Σ_l min(B, deg(l), n/64)`
+//! and picks the cheaper side for each channel independently;
+//! [`Resolver::ParallelSharded`] applies the same choice inside each group.
+//!
+//! All resolvers, at any thread count, produce bit-identical counters,
+//! feedbacks, and outputs; `Resolver::Naive` keeps the original quadratic
+//! reference implementation for differential testing and benchmarking.
+//! Resolution itself is deterministic (the model has no channel noise),
+//! which is what makes sharding observationally invisible; any *future*
+//! randomized channel effect must draw from the per-(slot, channel)
+//! streams of [`Engine::channel_rng`], which are keyed by what is being
+//! resolved rather than by visit order, preserving that invariant.
 //!
 //! # Internal renumbering and memory layout
 //!
@@ -94,10 +93,9 @@
 //! renumbering is observationally invisible (proven bit-identically by the
 //! permutation differential in `tests/`). Per-node outcome state is a
 //! packed `u32` array rather than an enum array, and when `c` is small the
-//! sequential and sharded `Auto` paths fuse the listener pass across a
-//! slot's channels: one marking sweep tags every broadcaster with its
-//! channel, and each listener walk checks tags instead of rebuilding a
-//! per-channel broadcaster bit set.
+//! `Auto` strategy fuses the listener pass across a group's channels: one
+//! marking sweep tags every broadcaster with its channel, and each listener
+//! walk checks tags instead of rebuilding a per-channel broadcaster bit set.
 
 use crate::bitset::{BitSet, Intersection};
 use crate::ids::{GlobalChannel, LocalChannel, NodeId, Slot};
@@ -110,36 +108,17 @@ use crate::rng::{channel_slot_rng, stream_rng};
 use crate::spectrum::{SpectrumDynamics, SpectrumState};
 use rand::rngs::SmallRng;
 
-/// Default node-count threshold at or above which a
-/// [`Resolver::ParallelSharded`] engine also routes phase-1 action
-/// collection through its worker pool. Below it the extra wake/merge
-/// round-trip costs more than the parallelized collection saves (the
-/// per-slot wake is ~2.5 µs on the bench container, per-node collection a
-/// few tens of ns). Tunable per engine via
-/// [`Engine::set_phase1_pool_min_nodes`]; purely a performance knob —
-/// pooled and sequential collection are bit-identical.
-pub const DEFAULT_PHASE1_POOL_MIN_NODES: usize = 2048;
+/// Node count at or above which a [`Resolver::ParallelSharded`] engine
+/// splits every phase across its worker pool. Below it, handing a slot to
+/// the pool costs more than splitting it saves: on a 2-vCPU host,
+/// `sharded(2)` against `Auto` measured 2.45× at n = 200, 1.04× at 1024,
+/// 1.01× at 2048 and 0.74× at 20 000 (Erdős–Rényi, average degree 8), and
+/// at n = 10⁶ each pooled phase beat its one-chunk run.
+const POOL_MIN_NODES: usize = 2048;
 
-/// Sharded slots of each phase-1 routing (sequential first, then pooled)
-/// the auto-tuner measures before locking the faster one; see
-/// [`Engine::set_phase1_pool_autotune`].
-const PHASE1_TUNE_SLOTS: u32 = 3;
-
-/// Default node-count threshold at or above which a
-/// [`Resolver::ParallelSharded`] engine routes phase-3 feedback delivery
-/// through its worker pool in contiguous node-range chunks. The
-/// cost-benefit mirrors phase 1 (one pool wake ~2.5 µs vs a few tens of
-/// ns per delivered node), so the default matches
-/// [`DEFAULT_PHASE1_POOL_MIN_NODES`]. Tunable per engine via
-/// [`Engine::set_phase3_pool_min_nodes`]; purely a performance knob —
-/// pooled and sequential delivery are bit-identical by construction
-/// (feedback order across nodes is independent, and the per-chunk counter
-/// deltas are merged deterministically in chunk order).
-pub const DEFAULT_PHASE3_POOL_MIN_NODES: usize = 2048;
-
-/// Channels-per-node bound at or below which the `Auto` strategies may
-/// fuse the listener pass across a slot's (or shard's) touched channels;
-/// see [`mark_broadcast_channels`].
+/// Channels-per-node bound at or below which the `Auto` strategy may fuse
+/// the listener pass across a group's touched channels; see
+/// [`mark_broadcast_channels`].
 const FUSED_MAX_C: usize = 8;
 
 /// Average per-channel bucket population (broadcasters + listeners) at or
@@ -217,8 +196,9 @@ pub struct RunOutcome {
     pub all_protocols_done: bool,
 }
 
-/// How the engine resolves deliveries on each channel. All strategies are
-/// observationally identical; they differ only in per-slot cost.
+/// How the engine resolves deliveries on each channel, and on how many
+/// threads it runs a slot. All variants are observationally identical;
+/// they differ only in per-slot cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Resolver {
     /// Per channel, pick the cheaper of the broadcaster-centric sweep and
@@ -226,26 +206,22 @@ pub enum Resolver {
     /// with `Σ_l min(B, deg(l), n/64)`. The right default.
     #[default]
     Auto,
-    /// Always walk broadcasters' CSR neighbor slices.
-    BroadcasterCentric,
-    /// Always probe from the listener side (per listener: broadcaster-list
-    /// scan, own-CSR walk, or word intersection — whichever bounds cheapest).
-    ListenerCentric,
     /// The original reference implementation: every listener linearly scans
     /// every broadcaster on its channel with a per-pair adjacency test.
     /// Kept for differential testing and as the benchmark baseline.
     Naive,
-    /// Channel-sharded parallel resolution: the touched channels of a slot
-    /// are partitioned across the calling thread plus `threads − 1`
-    /// persistent pool workers (channels are independent within a slot;
-    /// each shard resolves its channels with the [`Resolver::Auto`]
-    /// heuristic and its own scratch). The engine-owned [`WorkerPool`] is
-    /// spawned on the first sharded slot, parks between slots, and is torn
-    /// down on drop — per-slot cost is a generation-counter wake, not a
-    /// thread spawn. Bit-identical to the sequential strategies at any
-    /// thread count; `threads ≤ 1` falls back to sequential `Auto`.
+    /// [`Resolver::Auto`] on `threads` threads. On a network of at least
+    /// 2048 nodes, every phase of every slot splits into `threads` chunks —
+    /// node ranges for collection and delivery, cost-balanced groups of
+    /// touched channels for resolution — with chunk 0 on the calling thread
+    /// and the rest on an engine-owned [`WorkerPool`] (spawned on the first
+    /// such slot, parked between slots, re-sized if the thread count
+    /// changes, torn down on drop). Below 2048 nodes, or with
+    /// `threads ≤ 1`, the engine runs exactly the `Auto` path: handing a
+    /// small slot to the pool costs more than splitting it saves.
+    /// Bit-identical to `Auto` at any thread count.
     ParallelSharded {
-        /// Worker threads for phase-2 resolution.
+        /// Threads per slot, the calling thread included.
         threads: usize,
     },
 }
@@ -254,15 +230,6 @@ impl Resolver {
     /// Convenience constructor for [`Resolver::ParallelSharded`].
     pub fn sharded(threads: usize) -> Resolver {
         Resolver::ParallelSharded { threads }
-    }
-
-    /// The per-channel strategy this resolver applies once a channel is in
-    /// hand (the sharded mode resolves each channel with `Auto`).
-    fn per_channel(self) -> Resolver {
-        match self {
-            Resolver::ParallelSharded { .. } => Resolver::Auto,
-            r => r,
-        }
     }
 }
 
@@ -324,15 +291,10 @@ pub struct Engine<'net, P: Protocol> {
     /// Primary-user spectrum dynamics, if installed ([`Engine::set_spectrum`]).
     /// `None` ≡ [`SpectrumDynamics::Static`]: every channel idle forever.
     spectrum: Option<SpectrumState>,
-    /// Per-node packed plan for the current slot: a channel-bucket index
-    /// with [`BCAST_BIT`] for broadcasters, or [`SLEEPING`]. Sequential
-    /// collection stores *global* touched-channel indices here; pooled
-    /// collection stores *chunk-local* ones (each chunk scatters into its
-    /// own local buckets before the merge).
+    /// Per-node packed plan for the current slot: the node's index into its
+    /// collection chunk's touched channels, with [`BCAST_BIT`] for
+    /// broadcasters, or [`SLEEPING`].
     node_plan: Vec<u32>,
-    /// This slot's actions in node order, exactly as the protocols returned
-    /// them. Heard messages are delivered by reference out of this buffer.
-    actions: Vec<Action<P::Message>>,
     /// Per-node packed resolution results for the current slot (external
     /// node order; see [`OC_MIN_SENTINEL`]).
     outcomes: Vec<u32>,
@@ -344,55 +306,27 @@ pub struct Engine<'net, P: Protocol> {
     int2ext: Vec<u32>,
     /// Internal-id adjacency view phase 2 resolves against.
     ig: IntGraph,
-    /// Per-worker phase-1 state for pooled collection; `[0]` belongs to the
-    /// calling thread. Allocated lazily on the first pooled slot.
+    /// Per-chunk phase-1 state; `[0]` runs on the calling thread and, once
+    /// collection ends, its action buffer holds the whole slot's actions.
+    /// `[1..]` are allocated on the first multi-chunk slot.
     collect: Vec<CollectShard<P::Message>>,
-    /// Node-count threshold for routing phase-1 collection through the
-    /// pool; see [`DEFAULT_PHASE1_POOL_MIN_NODES`]. Ignored while the
-    /// auto-tuner is measuring, overwritten when it decides.
-    phase1_min_nodes: usize,
-    /// In-flight phase-1 auto-tune measurement; `None` once decided or when
-    /// tuning is off ([`Engine::set_phase1_pool_min_nodes`] pins the
-    /// threshold and disables it).
-    phase1_tune: Option<Phase1Tune>,
-    /// Node-count threshold for routing phase-3 feedback delivery through
-    /// the pool; see [`DEFAULT_PHASE3_POOL_MIN_NODES`].
-    phase3_min_nodes: usize,
-    /// Per-chunk counter deltas for pooled phase-3 delivery, merged into
-    /// [`Counters`] in chunk order after the join. O(threads) and
-    /// long-lived across slots (and across [`Engine::reset`]); allocated
-    /// lazily on the first pooled delivery.
-    deliver: Vec<DeliverDelta>,
-    // --- flat channel-bucketed action table, rebuilt each slot ---
-    /// Dense channels touched this slot, in first-touch order.
-    touched: Vec<u32>,
-    /// Per dense channel: stamp marking it touched in the current slot.
-    chan_epoch: Vec<u64>,
-    /// Per dense channel: its index into `touched` (valid iff stamped).
-    chan_slot: Vec<u32>,
-    slot_epoch: u64,
-    /// Per touched channel: population counts, then scatter cursors.
-    b_cnt: Vec<u32>,
-    l_cnt: Vec<u32>,
-    /// Per touched channel: CSR offsets into the flat node buckets.
-    b_off: Vec<u32>,
-    l_off: Vec<u32>,
-    /// Flat buckets: broadcasters/listeners grouped by touched channel, in
-    /// ascending node order within each group.
-    bcast_nodes: Vec<u32>,
-    listen_nodes: Vec<u32>,
-    /// Per-shard resolution state (epoch-stamped scratch + outcome buffer),
-    /// long-lived across slots: `[0]` serves sequential resolution and the
-    /// caller-thread shard, `[1..]` belong to the pool workers.
+    /// The merged channel table of a multi-chunk collection. A one-chunk
+    /// collection leaves the slot's table in `collect[0]` instead.
+    table: ChannelTable,
+    /// Per-group resolution state, long-lived across slots: `[0]` runs on
+    /// the calling thread, `[1..]` on the pool workers (allocated on the
+    /// first multi-group slot).
     shards: Vec<ShardSlot>,
-    /// Per-channel cost proxies and group bounds for the sharded partition,
-    /// persisted across slots to avoid reallocation.
+    /// Per-channel cost proxies and group bounds for the resolution
+    /// partition, persisted across slots to avoid reallocation.
     shard_weights: Vec<u64>,
     shard_bounds: Vec<(usize, usize)>,
-    /// Persistent phase-2 worker pool. Spawned lazily on the first sharded
-    /// slot (sequential engines never pay for it), kept parked between
-    /// slots, re-sized if the resolver's thread count changes, and torn
-    /// down when the engine drops.
+    /// Per-chunk phase-3 counter deltas, merged into [`Counters`] in chunk
+    /// order after the join.
+    deliver: Vec<DeliverDelta>,
+    /// Persistent worker pool, spawned on the first multi-chunk slot (a
+    /// one-chunk engine never pays for it), parked between slots, re-sized
+    /// if the thread count changes, and torn down when the engine drops.
     pool: Option<WorkerPool>,
     /// Cumulative per-phase wall-clock totals ([`Engine::set_phase_timing`]).
     /// `None` (the default) records nothing; `Some` pays ~5 monotonic clock
@@ -405,31 +339,19 @@ pub struct Engine<'net, P: Protocol> {
 /// and the engine; returning `true` stops the run (ground-truth completion).
 pub type Probe<'a, 'b, 'net, P> = (u64, &'a mut (dyn FnMut(u64, &Engine<'net, P>) -> bool + 'b));
 
-/// Running phase-1 auto-tune state: wall-clock totals for the first
-/// [`PHASE1_TUNE_SLOTS`] sharded slots collected sequentially and the next
-/// [`PHASE1_TUNE_SLOTS`] collected through the pool. Routing choice is a
-/// pure performance knob (both paths are bit-identical), so measuring live
-/// cannot change results.
-#[derive(Debug, Clone, Copy, Default)]
-struct Phase1Tune {
-    seq_ns: u128,
-    pooled_ns: u128,
-    measured: u32,
-}
-
-/// Cumulative per-phase wall-clock totals for [`Engine::step`], split by
-/// routing (sequential vs pooled/sharded) where a phase has both paths.
-/// Off by default; enabled with [`Engine::set_phase_timing`] and read with
-/// [`Engine::phase_timings`].
+/// Cumulative per-phase wall-clock totals for [`Engine::step`]. Each phase
+/// is split by how many chunks it ran in: one (`*_sequential_*`), or two or
+/// more (`*_pooled_*` for collection and delivery, `*_sharded_*` for
+/// resolution). Off by default; enabled with [`Engine::set_phase_timing`]
+/// and read with [`Engine::phase_timings`].
 ///
 /// **Observationally invisible by construction:** the timers only *read*
 /// the monotonic clock and accumulate into this struct — no engine control
 /// flow, counter, RNG stream, or protocol callback depends on a measured
-/// value. (Contrast the phase-1 auto-tuner, which does route on timing —
-/// but only between two bit-identical paths.) The guarantee "timers on vs
-/// off is bit-identical" is enforced by the lockstep differential in
-/// `tests/tests/metrics_equiv.rs` across all resolvers, thread counts, and
-/// pooling settings.
+/// value, and they are the engine's only clock reads. The guarantee
+/// "timers on vs off is bit-identical" is enforced by the lockstep
+/// differential in `tests/tests/metrics_equiv.rs` across all resolvers and
+/// thread counts, below and above the pooling size.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Slots measured (== slots stepped while timing was enabled).
@@ -437,38 +359,38 @@ pub struct PhaseTimings {
     /// Phase 0: spectrum/PU process advance (zero when no dynamics are
     /// installed — the phase is skipped entirely).
     pub spectrum_ns: u64,
-    /// Phase 1, sequential collection path.
+    /// Phase 1 in one chunk.
     pub collect_sequential_ns: u64,
-    /// Phase 1, pooled collection path.
+    /// Phase 1 in two or more chunks.
     pub collect_pooled_ns: u64,
-    /// Slots that routed phase 1 through the pool.
+    /// Slots whose phase 1 ran in two or more chunks.
     pub collect_pooled_slots: u64,
-    /// Phase 2, sequential resolution path.
+    /// Phase 2 in one channel group.
     pub resolve_sequential_ns: u64,
-    /// Phase 2, sharded resolution path.
+    /// Phase 2 in two or more channel groups.
     pub resolve_sharded_ns: u64,
-    /// Slots that resolved phase 2 sharded.
+    /// Slots whose phase 2 ran in two or more channel groups.
     pub resolve_sharded_slots: u64,
-    /// Phase 3, sequential delivery path.
+    /// Phase 3 in one chunk.
     pub deliver_sequential_ns: u64,
-    /// Phase 3, pooled delivery path.
+    /// Phase 3 in two or more chunks.
     pub deliver_pooled_ns: u64,
-    /// Slots that delivered phase 3 through the pool.
+    /// Slots whose phase 3 ran in two or more chunks.
     pub deliver_pooled_slots: u64,
 }
 
 impl PhaseTimings {
-    /// Phase-1 total across both routings.
+    /// Phase-1 total across both splits.
     pub fn collect_ns(&self) -> u64 {
         self.collect_sequential_ns + self.collect_pooled_ns
     }
 
-    /// Phase-2 total across both routings.
+    /// Phase-2 total across both splits.
     pub fn resolve_ns(&self) -> u64 {
         self.resolve_sequential_ns + self.resolve_sharded_ns
     }
 
-    /// Phase-3 total across both routings.
+    /// Phase-3 total across both splits.
     pub fn deliver_ns(&self) -> u64 {
         self.deliver_sequential_ns + self.deliver_pooled_ns
     }
@@ -476,6 +398,47 @@ impl PhaseTimings {
     /// Sum over all four phases.
     pub fn total_ns(&self) -> u64 {
         self.spectrum_ns + self.collect_ns() + self.resolve_ns() + self.deliver_ns()
+    }
+}
+
+impl PhaseTimings {
+    /// Accumulates one slot. Each phase arrives as `(chunks, ns)` and goes
+    /// to its one-chunk or its multi-chunk total.
+    fn record(
+        &mut self,
+        spectrum_ns: u64,
+        collect: (usize, u64),
+        resolve: (usize, u64),
+        deliver: (usize, u64),
+    ) {
+        fn add((chunks, ns): (usize, u64), one: &mut u64, many: &mut u64, many_slots: &mut u64) {
+            if chunks > 1 {
+                *many += ns;
+                *many_slots += 1;
+            } else {
+                *one += ns;
+            }
+        }
+        self.slots += 1;
+        self.spectrum_ns += spectrum_ns;
+        add(
+            collect,
+            &mut self.collect_sequential_ns,
+            &mut self.collect_pooled_ns,
+            &mut self.collect_pooled_slots,
+        );
+        add(
+            resolve,
+            &mut self.resolve_sequential_ns,
+            &mut self.resolve_sharded_ns,
+            &mut self.resolve_sharded_slots,
+        );
+        add(
+            deliver,
+            &mut self.deliver_sequential_ns,
+            &mut self.deliver_pooled_ns,
+            &mut self.deliver_pooled_slots,
+        );
     }
 }
 
@@ -496,7 +459,7 @@ fn lap(mark: &mut Option<std::time::Instant>) -> u64 {
 
 /// Per-outcome counter updates accumulated by one phase-3 delivery chunk
 /// (see [`count_outcomes`]). Merging the chunks' deltas in chunk order
-/// reproduces the scalar loop's totals exactly: each counter is a sum of
+/// reproduces the one-chunk totals exactly: each counter is a sum of
 /// per-node contributions, the chunks partition the node range, and `u64`
 /// addition is associative — no ordering effect can survive the merge.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -548,6 +511,22 @@ const OC_IDLE: u32 = outcome::IDLE;
 const OC_COLLISION: u32 = outcome::COLLISION;
 const OC_PU_BUSY: u32 = outcome::PU_BUSY;
 const OC_MIN_SENTINEL: u32 = outcome::MIN_SENTINEL;
+
+/// Converts a resolved outcome to external ids: a `Heard` source goes
+/// through the inverse permutation, sentinels pass unchanged.
+#[inline]
+fn external(int2ext: &[u32], oc: u32) -> u32 {
+    if oc < OC_MIN_SENTINEL {
+        int2ext[oc as usize]
+    } else {
+        oc
+    }
+}
+
+/// Heap bytes held by a vector's allocation.
+fn heap_bytes<T>(v: &Vec<T>) -> usize {
+    v.capacity() * std::mem::size_of::<T>()
+}
 
 /// How the engine relabels nodes internally for phase-2 cache locality.
 ///
@@ -707,18 +686,19 @@ impl IntGraph {
     /// Heap bytes of the internal view — reported next to the network
     /// footprint in the huge-sparse bench row.
     fn memory_bytes(&self) -> usize {
-        (self.offsets.capacity() + self.targets.capacity() + self.row_of.capacity())
-            * std::mem::size_of::<u32>()
+        heap_bytes(&self.offsets)
+            + heap_bytes(&self.targets)
+            + heap_bytes(&self.row_of)
             + self.rows.iter().map(|b| b.words().len() * 8).sum::<usize>()
     }
 }
 
 /// Epoch-stamped per-thread resolution scratch. Sized to the node count;
 /// nothing in it is ever bulk-cleared (a stamp comparison makes stale cells
-/// invisible), so shards pay O(work) rather than O(n) per channel.
+/// invisible), so groups pay O(work) rather than O(n) per channel.
 struct Scratch {
     /// Epoch stamps for `hit_count`/`hit_src` (broadcaster-centric) or for
-    /// broadcaster marks (listener-centric).
+    /// broadcaster marks (fused listener pass).
     mark_epoch: Vec<u64>,
     hit_count: Vec<u32>,
     hit_src: Vec<u32>,
@@ -728,105 +708,208 @@ struct Scratch {
     bcast_bits: BitSet,
 }
 
-impl Scratch {
-    fn new(n: usize) -> Scratch {
-        Scratch {
-            mark_epoch: vec![0; n],
-            hit_count: vec![0; n],
-            hit_src: vec![0; n],
-            epoch: 0,
-            bcast_bits: BitSet::new(n),
-        }
-    }
-}
-
-/// One shard's long-lived resolution state: the epoch-stamped [`Scratch`]
-/// plus the outcome buffer the shard resolves into (listener-position
-/// order). Shard 0 belongs to the calling thread (and doubles as the
-/// sequential engine's scratch); shards `1..` are handed to pool workers —
-/// each worker mutates only its own slot, which is what makes the
-/// fork-join hand-out race-free.
+/// One resolution group's long-lived state: the epoch-stamped [`Scratch`]
+/// plus the outcome buffer a multi-group slot resolves into (group-local
+/// listener-position order, internal `Heard` ids). Each pool worker
+/// mutates only its own slot, which is what makes the fork-join hand-out
+/// race-free.
 struct ShardSlot {
     scratch: Scratch,
-    /// Packed outcomes in listener-position order (internal `Heard` ids;
-    /// converted to external at the scatter).
     out: Vec<u32>,
 }
 
 impl ShardSlot {
     fn new(n: usize) -> ShardSlot {
-        ShardSlot { scratch: Scratch::new(n), out: Vec::new() }
+        let scratch = Scratch {
+            mark_epoch: vec![0; n],
+            hit_count: vec![0; n],
+            hit_src: vec![0; n],
+            epoch: 0,
+            bcast_bits: BitSet::new(n),
+        };
+        ShardSlot { scratch, out: Vec::new() }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let s = &self.scratch;
+        heap_bytes(&s.mark_epoch)
+            + heap_bytes(&s.hit_count)
+            + heap_bytes(&s.hit_src)
+            + s.bcast_bits.words().len() * 8
+            + heap_bytes(&self.out)
     }
 }
 
-/// One worker's long-lived phase-1 state for pooled action collection: the
-/// chunk's actions (in node order), a chunk-local epoch-stamped channel
-/// table mirroring the engine's global one, per-channel counts and CSR
-/// offsets, and chunk-local broadcaster/listener buckets that the caller
-/// merges into the global buckets by prefix-sum after the join.
-struct CollectShard<M> {
-    /// The chunk's actions, appended to `Engine::actions` after the join.
-    out: Vec<Action<M>>,
-    /// Chunk-local touched channels, in chunk-first-touch order.
+/// A channel-bucketed action table: the touched dense channels in
+/// first-touch order, their broadcaster and listener populations, CSR
+/// offsets, and the buckets themselves (internal ids, ascending external
+/// order within each channel). Each collection chunk builds one over its
+/// node range, and a multi-chunk slot merges them into the engine's.
+/// First-touch detection stamps a universe-sized table with a private,
+/// monotonic epoch, so nothing is ever bulk-cleared.
+struct ChannelTable {
+    /// Dense channels touched under the current epoch, in first-touch order.
     touched: Vec<u32>,
-    /// Per dense channel: stamp marking it touched in this chunk's current
-    /// slot (universe-sized, like the engine's global table).
+    /// Per dense channel: stamp marking it touched under `epoch`.
     ch_epoch: Vec<u64>,
-    /// Per dense channel: its index into the local `touched` list.
+    /// Per dense channel: its index into `touched` (valid iff stamped).
     ch_slot: Vec<u32>,
-    /// This shard's private slot epoch (monotonic per shard).
     epoch: u64,
-    /// Per local touched channel: population counts, then scatter cursors.
+    /// Per touched channel: population counts, then scatter cursors.
     b_cnt: Vec<u32>,
     l_cnt: Vec<u32>,
-    /// Per local touched channel: CSR offsets into the local buckets.
+    /// Per touched channel: CSR offsets into the buckets (`touched + 1`
+    /// entries once sealed).
     b_off: Vec<u32>,
     l_off: Vec<u32>,
-    /// Chunk-local buckets, ascending node order within each channel group.
+    /// Broadcasters and listeners grouped by touched channel.
     b_nodes: Vec<u32>,
     l_nodes: Vec<u32>,
-    /// The chunk's action tallies, summed into [`Counters`] after the join.
-    nb: u64,
-    nl: u64,
-    ns: u64,
 }
 
-impl<M> CollectShard<M> {
-    fn new(universe: usize) -> CollectShard<M> {
-        CollectShard {
-            out: Vec::new(),
+impl ChannelTable {
+    fn new(universe: usize) -> ChannelTable {
+        ChannelTable {
             touched: Vec::new(),
             ch_epoch: vec![0; universe],
             ch_slot: vec![0; universe],
             epoch: 0,
             b_cnt: Vec::new(),
             l_cnt: Vec::new(),
-            b_off: Vec::new(),
-            l_off: Vec::new(),
+            b_off: vec![0],
+            l_off: vec![0],
             b_nodes: Vec::new(),
             l_nodes: Vec::new(),
-            nb: 0,
-            nl: 0,
-            ns: 0,
         }
     }
 
-    /// Heap bytes of this shard's scratch, for the engine's `O(n + m)`
-    /// memory accounting (`out` is reported by capacity × element size —
-    /// `Action` payloads may own heap of their own, which is the
-    /// protocol's memory, not the engine's).
+    /// Starts a new table under a fresh epoch: no channel is touched.
+    fn begin(&mut self) {
+        self.touched.clear();
+        self.b_cnt.clear();
+        self.l_cnt.clear();
+        self.epoch += 1;
+    }
+
+    /// Registers dense channel `ch` as touched (idempotent per epoch) and
+    /// returns its index into `touched`.
+    #[inline]
+    fn touch(&mut self, ch: usize) -> usize {
+        if self.ch_epoch[ch] == self.epoch {
+            return self.ch_slot[ch] as usize;
+        }
+        self.ch_epoch[ch] = self.epoch;
+        let ti = self.touched.len() as u32;
+        debug_assert!(ti < BCAST_BIT, "touched-channel index overflows the role bit");
+        self.ch_slot[ch] = ti;
+        self.touched.push(ch as u32);
+        self.b_cnt.push(0);
+        self.l_cnt.push(0);
+        ti as usize
+    }
+
+    /// Prefix-sums the per-channel counts into CSR offsets, sizes the
+    /// buckets, and turns the counts into scatter cursors (each channel's
+    /// bucket start), ready for the nodes to be placed.
+    fn seal(&mut self) {
+        self.b_off.clear();
+        self.l_off.clear();
+        self.b_off.push(0);
+        self.l_off.push(0);
+        let (mut tb, mut tl) = (0u32, 0u32);
+        for ti in 0..self.touched.len() {
+            tb += self.b_cnt[ti];
+            tl += self.l_cnt[ti];
+            self.b_off.push(tb);
+            self.l_off.push(tl);
+        }
+        self.b_nodes.resize(tb as usize, 0);
+        self.l_nodes.resize(tl as usize, 0);
+        let t = self.touched.len();
+        self.b_cnt.copy_from_slice(&self.b_off[..t]);
+        self.l_cnt.copy_from_slice(&self.l_off[..t]);
+    }
+
+    /// Rebuilds this table from `parts` in order: each channel's first
+    /// occurrence across the parts fixes its place, counts are summed, and
+    /// each part's bucket segments are copied in part order. For parts
+    /// built over ascending node ranges, that is exactly the table one part
+    /// over the whole range would have built.
+    fn merge<'a>(&mut self, parts: impl Iterator<Item = &'a ChannelTable> + Clone) {
+        self.begin();
+        for part in parts.clone() {
+            for (pti, &ch) in part.touched.iter().enumerate() {
+                let ti = self.touch(ch as usize);
+                self.b_cnt[ti] += part.bcasters(pti).len() as u32;
+                self.l_cnt[ti] += part.listeners(pti).len() as u32;
+            }
+        }
+        self.seal();
+        for part in parts {
+            for (pti, &ch) in part.touched.iter().enumerate() {
+                let ti = self.ch_slot[ch as usize] as usize;
+                let (bs, ls) = (part.bcasters(pti), part.listeners(pti));
+                let at = self.b_cnt[ti] as usize;
+                self.b_nodes[at..at + bs.len()].copy_from_slice(bs);
+                self.b_cnt[ti] += bs.len() as u32;
+                let at = self.l_cnt[ti] as usize;
+                self.l_nodes[at..at + ls.len()].copy_from_slice(ls);
+                self.l_cnt[ti] += ls.len() as u32;
+            }
+        }
+    }
+
+    /// Touched channel `ti`'s broadcaster bucket.
+    #[inline]
+    fn bcasters(&self, ti: usize) -> &[u32] {
+        &self.b_nodes[self.b_off[ti] as usize..self.b_off[ti + 1] as usize]
+    }
+
+    /// Touched channel `ti`'s listener bucket.
+    #[inline]
+    fn listeners(&self, ti: usize) -> &[u32] {
+        &self.l_nodes[self.l_off[ti] as usize..self.l_off[ti + 1] as usize]
+    }
+
     fn memory_bytes(&self) -> usize {
-        self.out.capacity() * std::mem::size_of::<Action<M>>()
-            + self.ch_epoch.capacity() * std::mem::size_of::<u64>()
-            + (self.touched.capacity()
-                + self.ch_slot.capacity()
-                + self.b_cnt.capacity()
-                + self.l_cnt.capacity()
-                + self.b_off.capacity()
-                + self.l_off.capacity()
-                + self.b_nodes.capacity()
-                + self.l_nodes.capacity())
-                * std::mem::size_of::<u32>()
+        heap_bytes(&self.touched)
+            + heap_bytes(&self.ch_epoch)
+            + heap_bytes(&self.ch_slot)
+            + heap_bytes(&self.b_cnt)
+            + heap_bytes(&self.l_cnt)
+            + heap_bytes(&self.b_off)
+            + heap_bytes(&self.l_off)
+            + heap_bytes(&self.b_nodes)
+            + heap_bytes(&self.l_nodes)
+    }
+}
+
+/// One collection chunk's long-lived state: its actions in node order, its
+/// channel table, and its action tallies.
+struct CollectShard<M> {
+    out: Vec<Action<M>>,
+    table: ChannelTable,
+    broadcasts: u64,
+    listens: u64,
+    sleeps: u64,
+}
+
+impl<M> CollectShard<M> {
+    fn new(universe: usize) -> CollectShard<M> {
+        CollectShard {
+            out: Vec::new(),
+            table: ChannelTable::new(universe),
+            broadcasts: 0,
+            listens: 0,
+            sleeps: 0,
+        }
+    }
+
+    /// Heap bytes of the chunk's buffers. `out` counts by capacity ×
+    /// element size: an `Action` payload may own heap of its own, which is
+    /// the protocol's memory, not the engine's.
+    fn memory_bytes(&self) -> usize {
+        heap_bytes(&self.out) + self.table.memory_bytes()
     }
 }
 
@@ -844,40 +927,12 @@ fn translate_label(xlate: &[u32], c: usize, v: usize, channel: LocalChannel) -> 
     xlate[v * c + l] as usize
 }
 
-/// Registers dense channel `ch` as touched (idempotent per `epoch`) in the
-/// given touched-list/stamp/count structures — shared by the engine's
-/// global table (sequential collection and the pooled merge) and each
-/// chunk's local table — and returns its index into `touched`.
-#[inline]
-fn touch_channel(
-    touched: &mut Vec<u32>,
-    ch_epoch: &mut [u64],
-    ch_slot: &mut [u32],
-    b_cnt: &mut Vec<u32>,
-    l_cnt: &mut Vec<u32>,
-    ch: usize,
-    epoch: u64,
-) -> u32 {
-    if ch_epoch[ch] == epoch {
-        ch_slot[ch]
-    } else {
-        ch_epoch[ch] = epoch;
-        let ti = touched.len() as u32;
-        debug_assert!(ti < BCAST_BIT, "touched-channel index overflows the role bit");
-        ch_slot[ch] = ti;
-        touched.push(ch as u32);
-        b_cnt.push(0);
-        l_cnt.push(0);
-        ti
-    }
-}
-
 /// Phase-1 work for one contiguous node chunk `[base, base + len)`:
 /// collect the chunk's actions through [`Protocol::act_batch`], translate
-/// and count them into the shard's local channel table, and counting-sort
-/// the chunk's nodes into local per-channel buckets. Identical on the
-/// calling thread and on a pool worker; touches only the chunk's disjoint
-/// slices plus the shard's private state.
+/// and count them into the chunk's channel table, and counting-sort the
+/// chunk's nodes into its per-channel buckets. Identical on the calling
+/// thread and on a pool worker; touches only the chunk's disjoint slices
+/// plus the shard's private state.
 #[allow(clippy::too_many_arguments)]
 fn collect_chunk<P: Protocol>(
     slot: Slot,
@@ -887,102 +942,84 @@ fn collect_chunk<P: Protocol>(
     c: usize,
     protos: &mut [P],
     rngs: &mut [SmallRng],
-    node_plan: &mut [u32],
+    plan: &mut [u32],
     outcomes: &mut [u32],
     shard: &mut CollectShard<P::Message>,
 ) {
-    shard.out.clear();
-    shard.touched.clear();
-    shard.b_cnt.clear();
-    shard.l_cnt.clear();
-    shard.epoch += 1;
-    let epoch = shard.epoch;
-
+    let CollectShard { out, table, .. } = shard;
+    out.clear();
+    table.begin();
     let mut ctx = BatchCtx::new(slot, rngs);
-    P::act_batch(protos, &mut ctx, &mut shard.out);
-    assert_eq!(shard.out.len(), protos.len(), "act_batch must emit one action per node");
+    P::act_batch(protos, &mut ctx, out);
+    assert_eq!(out.len(), protos.len(), "act_batch must emit one action per node");
 
     let (mut nb, mut nl, mut ns) = (0u64, 0u64, 0u64);
-    for (i, action) in shard.out.iter().enumerate() {
-        let v = base + i;
-        let (packed, outcome) = match action {
+    for (i, action) in out.iter().enumerate() {
+        (plan[i], outcomes[i]) = match action {
             Action::Broadcast { channel, .. } => {
                 nb += 1;
-                let ch = translate_label(xlate, c, v, *channel);
-                let ti = touch_channel(
-                    &mut shard.touched,
-                    &mut shard.ch_epoch,
-                    &mut shard.ch_slot,
-                    &mut shard.b_cnt,
-                    &mut shard.l_cnt,
-                    ch,
-                    epoch,
-                );
-                shard.b_cnt[ti as usize] += 1;
-                (ti | BCAST_BIT, OC_SENT)
+                let ti = table.touch(translate_label(xlate, c, base + i, *channel));
+                table.b_cnt[ti] += 1;
+                (ti as u32 | BCAST_BIT, OC_SENT)
             }
             Action::Listen { channel } => {
                 nl += 1;
-                let ch = translate_label(xlate, c, v, *channel);
-                let ti = touch_channel(
-                    &mut shard.touched,
-                    &mut shard.ch_epoch,
-                    &mut shard.ch_slot,
-                    &mut shard.b_cnt,
-                    &mut shard.l_cnt,
-                    ch,
-                    epoch,
-                );
-                shard.l_cnt[ti as usize] += 1;
-                (ti, OC_IDLE)
+                let ti = table.touch(translate_label(xlate, c, base + i, *channel));
+                table.l_cnt[ti] += 1;
+                (ti as u32, OC_IDLE)
             }
             Action::Sleep => {
                 ns += 1;
                 (SLEEPING, OC_SLEPT)
             }
         };
-        node_plan[i] = packed;
-        outcomes[i] = outcome;
     }
-    shard.nb = nb;
-    shard.nl = nl;
-    shard.ns = ns;
+    (shard.broadcasts, shard.listens, shard.sleeps) = (nb, nl, ns);
 
-    // Local prefix sums + counting-sort scatter into the local buckets
-    // (ascending node order within each group by construction).
-    let t = shard.touched.len();
-    shard.b_off.clear();
-    shard.l_off.clear();
-    shard.b_off.push(0);
-    shard.l_off.push(0);
-    let (mut tb, mut tl) = (0u32, 0u32);
-    for ti in 0..t {
-        tb += shard.b_cnt[ti];
-        tl += shard.l_cnt[ti];
-        shard.b_off.push(tb);
-        shard.l_off.push(tl);
-    }
-    shard.b_nodes.resize(tb as usize, 0);
-    shard.l_nodes.resize(tl as usize, 0);
-    shard.b_cnt.copy_from_slice(&shard.b_off[..t]);
-    shard.l_cnt.copy_from_slice(&shard.l_off[..t]);
-    for (i, &packed) in node_plan.iter().enumerate() {
+    // Counting-sort scatter: buckets hold *internal* ids, placed in
+    // ascending external order within each channel.
+    table.seal();
+    for (i, &packed) in plan.iter().enumerate() {
         if packed == SLEEPING {
             continue;
         }
-        // Buckets hold *internal* ids (in ascending external order — the
-        // same order the sequential scatter produces, so pooled collection
-        // stays bit-identical to sequential).
         let v = ext2int[base + i];
         if packed & BCAST_BIT != 0 {
             let ti = (packed & !BCAST_BIT) as usize;
-            shard.b_nodes[shard.b_cnt[ti] as usize] = v;
-            shard.b_cnt[ti] += 1;
+            table.b_nodes[table.b_cnt[ti] as usize] = v;
+            table.b_cnt[ti] += 1;
         } else {
             let ti = packed as usize;
-            shard.l_nodes[shard.l_cnt[ti] as usize] = v;
-            shard.l_cnt[ti] += 1;
+            table.l_nodes[table.l_cnt[ti] as usize] = v;
+            table.l_cnt[ti] += 1;
         }
+    }
+}
+
+/// Runs `work(i, &mut task)` for the `i`-th of `tasks`: task 0 inline on
+/// the calling thread, the others on `pool`'s workers, returning once all
+/// are done. A single task runs inline and never touches the pool — no
+/// wake, no allocation, no join.
+///
+/// # Panics
+/// Panics if there are two or more tasks and no pool, or more tasks than
+/// the pool has workers plus one.
+fn fork_join<T, F>(pool: Option<&mut WorkerPool>, tasks: impl IntoIterator<Item = T>, work: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let mut tasks = tasks.into_iter();
+    let Some(mut first) = tasks.next() else { return };
+    let mut rest: Vec<T> = tasks.collect();
+    if rest.is_empty() {
+        work(0, &mut first);
+    } else {
+        pool.expect("a multi-chunk phase runs on the engine's pool").run_with(
+            &mut rest,
+            |w, task| work(w + 1, task),
+            || work(0, &mut first),
+        );
     }
 }
 
@@ -1037,15 +1074,14 @@ fn scan_listener(ig: &IntGraph, bcasters: &[u32], l: u32) -> u32 {
 /// listener walk of [`resolve_listener_fused`]. Returns the epoch.
 fn mark_broadcast_channels(
     scratch: &mut Scratch,
-    b_off: &[u32],
-    bcast_nodes: &[u32],
+    table: &ChannelTable,
     lo: usize,
     hi: usize,
 ) -> u64 {
     scratch.epoch += 1;
     let epoch = scratch.epoch;
     for ti in lo..hi {
-        for &b in &bcast_nodes[b_off[ti] as usize..b_off[ti + 1] as usize] {
+        for &b in table.bcasters(ti) {
             scratch.mark_epoch[b as usize] = epoch;
             scratch.hit_src[b as usize] = ti as u32;
         }
@@ -1055,7 +1091,7 @@ fn mark_broadcast_channels(
 
 /// Fused listener probe for one channel: per listener, the cheaper of
 /// scanning the channel's broadcaster list and walking its own CSR slice
-/// against the slot-wide `(epoch, channel)` marks laid down by
+/// against the group-wide `(epoch, channel)` marks laid down by
 /// [`mark_broadcast_channels`] — no per-channel broadcaster-set build or
 /// teardown. Early exit at the second hit, as everywhere.
 fn resolve_listener_fused(
@@ -1207,69 +1243,110 @@ fn resolve_listener_centric(
     }
 }
 
-/// Resolves one channel with a *sequential* strategy, emitting
+/// Resolves one channel with the `Auto` strategy, emitting
 /// `(position-in-listener-list, listener, outcome)` triples (internal ids,
 /// packed outcomes). The caller guarantees both populations are non-empty.
 /// When `fused` carries the `(epoch, channel-tag)` of a
-/// [`mark_broadcast_channels`] sweep covering this channel, the `Auto`
-/// listener side uses the fused walk instead of building a per-channel
-/// broadcaster set.
-fn resolve_channel_into(
+/// [`mark_broadcast_channels`] sweep covering this channel, the listener
+/// side uses the fused walk instead of building a per-channel broadcaster
+/// set.
+fn resolve_channel_auto(
     ig: &IntGraph,
     scratch: &mut Scratch,
-    strategy: Resolver,
     fused: Option<(u64, u32)>,
     bcasters: &[u32],
     listeners: &[u32],
     emit: &mut impl FnMut(usize, u32, u32),
 ) {
     debug_assert!(!bcasters.is_empty() && !listeners.is_empty());
-    match strategy {
-        Resolver::Naive => {
-            for (pos, &l) in listeners.iter().enumerate() {
-                emit(pos, l, scan_listener(ig, bcasters, l));
-            }
-        }
-        Resolver::BroadcasterCentric => {
+    // Broadcaster side: one pass over all broadcasters' neighbor slices —
+    // scattered increments, so weight them ~2× against the listener side's
+    // sequential probes. Listener side: each listener pays the cheapest of
+    // scanning the broadcaster list, walking its own CSR slice, or one word
+    // sweep. Degree sums are estimated from a deterministic sample: the
+    // choice needs the order of magnitude, and exact sums would cost a
+    // random read per node — a measurable slice of dense slots. (Any choice
+    // is observationally identical, so sampling can never change results.)
+    let d_b = approx_degree_sum(ig, bcasters, usize::MAX);
+    let nb = bcasters.len();
+    let bcast_cost = listeners.len() + 2 * d_b;
+    if let Some((epoch, tag)) = fused {
+        let listen_cost = approx_degree_sum(ig, listeners, nb);
+        if bcast_cost <= listen_cost {
             resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
+        } else {
+            resolve_listener_fused(ig, scratch, epoch, tag, bcasters, listeners, emit)
         }
-        Resolver::ListenerCentric => {
+    } else {
+        let words = scratch.bcast_bits.words().len().max(1);
+        let per_listener_cap = nb.min(words);
+        let listen_cost = 2 * nb + approx_degree_sum(ig, listeners, per_listener_cap);
+        if bcast_cost <= listen_cost {
+            resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
+        } else {
             resolve_listener_centric(ig, scratch, bcasters, listeners, emit)
         }
-        Resolver::Auto => {
-            // Broadcaster side: one pass over all broadcasters' neighbor
-            // slices — scattered increments, so weight them ~2× against
-            // the listener side's sequential probes. Listener side: each
-            // listener pays the cheapest of scanning the broadcaster
-            // list, walking its own CSR slice, or one word sweep. Degree
-            // sums are estimated from a deterministic sample: the choice
-            // needs the order of magnitude, and exact sums would cost a
-            // random read per node — a measurable slice of dense slots.
-            // (Any choice is observationally identical, so sampling can
-            // never change results.)
-            let d_b = approx_degree_sum(ig, bcasters, usize::MAX);
-            let nb = bcasters.len();
-            let bcast_cost = listeners.len() + 2 * d_b;
-            if let Some((epoch, tag)) = fused {
-                let listen_cost = approx_degree_sum(ig, listeners, nb);
-                if bcast_cost <= listen_cost {
-                    resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
-                } else {
-                    resolve_listener_fused(ig, scratch, epoch, tag, bcasters, listeners, emit)
-                }
-            } else {
-                let words = scratch.bcast_bits.words().len().max(1);
-                let per_listener_cap = nb.min(words);
-                let listen_cost = 2 * nb + approx_degree_sum(ig, listeners, per_listener_cap);
-                if bcast_cost <= listen_cost {
-                    resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
-                } else {
-                    resolve_listener_centric(ig, scratch, bcasters, listeners, emit)
-                }
+    }
+}
+
+/// Everything phase 2 reads, shared by every channel group: the internal
+/// graph, the slot's channel table, the PU busy mask (fixed in phase 0, so
+/// reading it from every group is race-free and order-independent), the
+/// channels per node, and whether the `Naive` reference strategy runs.
+struct SlotView<'a> {
+    ig: &'a IntGraph,
+    table: &'a ChannelTable,
+    busy: Option<&'a BitSet>,
+    c: usize,
+    naive: bool,
+}
+
+/// Phase-2 work for touched channels `lo..hi`, identical inline and on a
+/// pool worker: emits `(position, listener, outcome)` for every listener
+/// that a broadcast or the primary user decides, with the position counted
+/// from the group's first listener and internal ids throughout. Listeners
+/// on a channel without broadcasters are not emitted; they keep the `Idle`
+/// that collection gave them.
+fn resolve_group(
+    view: &SlotView<'_>,
+    lo: usize,
+    hi: usize,
+    scratch: &mut Scratch,
+    emit: &mut impl FnMut(usize, u32, u32),
+) {
+    let SlotView { ig, table, busy, c, naive } = *view;
+    // Many near-empty channels: one marking pass for the whole group lets
+    // every listener-side probe run against `(epoch, channel)` tags
+    // instead of a per-channel broadcaster set (the fused listener pass).
+    // Tags are absolute channel indices, so groups never alias each
+    // other's marks. With populated buckets the per-probe tag loads cost
+    // more than the per-channel set builds they avoid — see
+    // `FUSED_MAX_AVG_BUCKET`.
+    let active = (table.b_off[hi] - table.b_off[lo] + table.l_off[hi] - table.l_off[lo]) as usize;
+    let fused_epoch =
+        (!naive && hi - lo >= 2 && c <= FUSED_MAX_C && active <= FUSED_MAX_AVG_BUCKET * (hi - lo))
+            .then(|| mark_broadcast_channels(scratch, table, lo, hi));
+    let group_start = table.l_off[lo] as usize;
+    for ti in lo..hi {
+        let (bs, ls) = (table.bcasters(ti), table.listeners(ti));
+        let first = table.l_off[ti] as usize - group_start;
+        let mut emit_at = |pos: usize, l: u32, oc: u32| emit(first + pos, l, oc);
+        if busy.is_some_and(|m| m.contains(table.touched[ti] as usize)) {
+            // PU-busy channel: broadcasts are lost, every listener hears
+            // noise (even with zero broadcasters — the primary user itself
+            // occupies the medium).
+            for (pos, &l) in ls.iter().enumerate() {
+                emit_at(pos, l, OC_PU_BUSY);
             }
-        }
-        Resolver::ParallelSharded { .. } => {
-            unreachable!("sharded resolution dispatches whole slots, not single channels")
+        } else if bs.is_empty() || ls.is_empty() {
+            // Nothing to hear, or nobody listening.
+        } else if naive {
+            for (pos, &l) in ls.iter().enumerate() {
+                emit_at(pos, l, scan_listener(ig, bs, l));
+            }
+        } else {
+            let fused = fused_epoch.map(|e| (e, ti as u32));
+            resolve_channel_auto(ig, scratch, fused, bs, ls, &mut emit_at);
         }
     }
 }
@@ -1327,12 +1404,10 @@ impl<'net, P: Protocol> Engine<'net, P> {
         }
         let mut dense = vec![u32::MAX; max_raw as usize + 1];
         let mut dense_to_raw = Vec::new();
-        let mut universe = 0u32;
         for (raw, &p) in present.iter().enumerate() {
             if p {
-                dense[raw] = universe;
+                dense[raw] = dense_to_raw.len() as u32;
                 dense_to_raw.push(raw as u32);
-                universe += 1;
             }
         }
         // Flat translation table: local label l of node v at xlate[v*c + l].
@@ -1342,7 +1417,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
                 xlate[v * c + l] = dense[g.index()];
             }
         }
-        let universe = universe as usize;
+        let universe = dense_to_raw.len();
 
         let protocols = (0..n)
             .map(|v| make(NodeCtx { id: NodeId(v as u32), num_channels: c as u16 }))
@@ -1363,30 +1438,17 @@ impl<'net, P: Protocol> Engine<'net, P> {
             dense_to_raw,
             spectrum: None,
             node_plan: vec![SLEEPING; n],
-            actions: Vec::with_capacity(n),
-            outcomes: Vec::with_capacity(n),
+            outcomes: vec![OC_SLEPT; n],
             renumbering,
             ext2int,
             int2ext,
             ig,
-            collect: Vec::new(),
-            phase1_min_nodes: DEFAULT_PHASE1_POOL_MIN_NODES,
-            phase1_tune: Some(Phase1Tune::default()),
-            phase3_min_nodes: DEFAULT_PHASE3_POOL_MIN_NODES,
-            deliver: Vec::new(),
-            touched: Vec::new(),
-            chan_epoch: vec![0; universe],
-            chan_slot: vec![0; universe],
-            slot_epoch: 0,
-            b_cnt: Vec::new(),
-            l_cnt: Vec::new(),
-            b_off: Vec::new(),
-            l_off: Vec::new(),
-            bcast_nodes: Vec::new(),
-            listen_nodes: Vec::new(),
+            collect: vec![CollectShard::new(universe)],
+            table: ChannelTable::new(0),
             shards: vec![ShardSlot::new(n)],
             shard_weights: Vec::new(),
             shard_bounds: Vec::new(),
+            deliver: Vec::new(),
             pool: None,
             phase_timings: None,
         }
@@ -1397,9 +1459,9 @@ impl<'net, P: Protocol> Engine<'net, P> {
     /// from `seed`, and zeroes the slot counter and [`Counters`].
     ///
     /// Everything expensive survives: the channel translation table, the
-    /// flat action buckets, the per-shard scratch, and — crucially — the
-    /// persistent worker pool, whose threads stay parked rather than being
-    /// torn down and re-spawned. A reset engine is observationally
+    /// channel tables and buckets, the per-group scratch, and — crucially —
+    /// the persistent worker pool, whose threads stay parked rather than
+    /// being torn down and re-spawned. A reset engine is observationally
     /// indistinguishable from a freshly constructed one (the epoch-stamped
     /// scratch makes stale state invisible by construction; enforced by the
     /// reuse regression test in `tests/tests/engine_equiv.rs`), so trial
@@ -1420,10 +1482,10 @@ impl<'net, P: Protocol> Engine<'net, P> {
         if let Some(sp) = self.spectrum.as_mut() {
             sp.reset();
         }
-        // `slot_epoch` keeps counting monotonically: the stamps in
-        // `chan_epoch` and the shard scratches only ever compare for
-        // equality with the *current* epoch, so continuing the sequence is
-        // exactly as invisible as starting over — and cheaper.
+        // Every channel table and scratch epoch keeps counting
+        // monotonically: stamps only ever compare for equality with the
+        // *current* epoch, so continuing the sequence is exactly as
+        // invisible as starting over — and cheaper.
     }
 
     /// The network this engine runs on.
@@ -1459,58 +1521,10 @@ impl<'net, P: Protocol> Engine<'net, P> {
     }
 
     /// Switches the resolution strategy (takes effect from the next slot;
-    /// all strategies — sequential and sharded — are observationally
-    /// identical, so this never changes results).
+    /// all strategies, at any thread count, are observationally identical,
+    /// so this never changes results).
     pub fn set_resolver(&mut self, resolver: Resolver) {
         self.resolver = resolver;
-    }
-
-    /// The node-count threshold at or above which a
-    /// [`Resolver::ParallelSharded`] engine routes phase-1 action
-    /// collection through its worker pool (see
-    /// [`DEFAULT_PHASE1_POOL_MIN_NODES`]).
-    pub fn phase1_pool_min_nodes(&self) -> usize {
-        self.phase1_min_nodes
-    }
-
-    /// Sets the pooled-collection threshold: `0` forces phase-1 pooling on
-    /// (whenever the resolver is sharded), `usize::MAX` forces it off.
-    /// Pinning a threshold disables the auto-tuner. Purely a performance
-    /// knob — the pooled and sequential collection paths are bit-identical
-    /// (enforced by the batch differential suite), so this never changes
-    /// results.
-    pub fn set_phase1_pool_min_nodes(&mut self, min_nodes: usize) {
-        self.phase1_min_nodes = min_nodes;
-        self.phase1_tune = None;
-    }
-
-    /// Turns the phase-1 routing auto-tuner on or off. On (the default for
-    /// a fresh engine), the first `PHASE1_TUNE_SLOTS` sharded slots
-    /// collect sequentially and the next as many through the pool, both
-    /// timed, and the faster routing is locked in for the rest of the
-    /// engine's life (surviving [`Engine::reset`]). Both routings are
-    /// bit-identical, so tuning never changes results — it only replaces
-    /// the static [`DEFAULT_PHASE1_POOL_MIN_NODES`] guess with a measured
-    /// decision.
-    pub fn set_phase1_pool_autotune(&mut self, on: bool) {
-        self.phase1_tune = on.then(Phase1Tune::default);
-    }
-
-    /// The node-count threshold at or above which a
-    /// [`Resolver::ParallelSharded`] engine routes phase-3 feedback
-    /// delivery through its worker pool (see
-    /// [`DEFAULT_PHASE3_POOL_MIN_NODES`]).
-    pub fn phase3_pool_min_nodes(&self) -> usize {
-        self.phase3_min_nodes
-    }
-
-    /// Sets the pooled-delivery threshold: `0` forces phase-3 pooling on
-    /// (whenever the resolver is sharded), `usize::MAX` forces it off.
-    /// Purely a performance knob — the pooled and sequential delivery
-    /// paths are bit-identical (enforced by the batch differential suite),
-    /// so this never changes results.
-    pub fn set_phase3_pool_min_nodes(&mut self, min_nodes: usize) {
-        self.phase3_min_nodes = min_nodes;
     }
 
     /// Turns per-phase wall-clock timing on or off (off for a fresh
@@ -1533,24 +1547,31 @@ impl<'net, P: Protocol> Engine<'net, P> {
         &self.renumbering
     }
 
-    /// Heap bytes of the engine's per-node and adjacency structures (the
-    /// internal CSR + dense rows, translation table, permutations, packed
-    /// outcomes) plus the lazily allocated pooled-phase scratch (per-chunk
-    /// collection shards, per-chunk delivery counter deltas) — reported
-    /// next to the network footprint by the huge-sparse bench row to prove
-    /// `O(n + m)` setup. The `huge_smoke` CI gate asserts this both before
-    /// and after a pooled run, so any hidden `O(n · threads)` buffer a
-    /// pooled path allocates on first use trips the gate.
+    /// Heap bytes of every buffer the engine owns: the internal CSR and
+    /// dense rows, the channel translation tables, the permutations, the
+    /// per-node plan and packed outcomes, the channel tables and buckets of
+    /// every collection chunk and of the merge, the action buffers, the
+    /// per-group resolution scratch, and the delivery deltas. The protocol
+    /// instances and their RNG streams are the run's state, not the
+    /// engine's, and stay out. Reported next to the network footprint by
+    /// the huge-sparse bench row to prove `O(n + m)` setup; the
+    /// `huge_smoke` CI gate asserts it both before and after a pooled run,
+    /// so an `O(n · threads)` buffer a multi-chunk slot allocates on first
+    /// use shows up there.
     pub fn internal_memory_bytes(&self) -> usize {
         self.ig.memory_bytes()
-            + (self.xlate.capacity()
-                + self.ext2int.capacity()
-                + self.int2ext.capacity()
-                + self.node_plan.capacity()
-                + self.outcomes.capacity())
-                * std::mem::size_of::<u32>()
+            + heap_bytes(&self.xlate)
+            + heap_bytes(&self.dense_to_raw)
+            + heap_bytes(&self.ext2int)
+            + heap_bytes(&self.int2ext)
+            + heap_bytes(&self.node_plan)
+            + heap_bytes(&self.outcomes)
             + self.collect.iter().map(CollectShard::memory_bytes).sum::<usize>()
-            + self.deliver.capacity() * std::mem::size_of::<DeliverDelta>()
+            + self.table.memory_bytes()
+            + self.shards.iter().map(ShardSlot::memory_bytes).sum::<usize>()
+            + heap_bytes(&self.shard_weights)
+            + heap_bytes(&self.shard_bounds)
+            + heap_bytes(&self.deliver)
     }
 
     /// Installs primary-user spectrum dynamics (see [`crate::spectrum`]):
@@ -1614,25 +1635,39 @@ impl<'net, P: Protocol> Engine<'net, P> {
         self.protocols.iter().all(|p| p.is_complete())
     }
 
+    /// Chunks per phase: `threads` for a [`Resolver::ParallelSharded`]
+    /// engine on at least [`POOL_MIN_NODES`] nodes, 1 otherwise. `k > 1`
+    /// implies `n ≥ 2`, so a multi-chunk phase always has at least two
+    /// non-empty node chunks.
+    fn chunks(&self) -> usize {
+        match self.resolver {
+            Resolver::ParallelSharded { threads } if self.net.len() >= POOL_MIN_NODES => {
+                threads.max(1)
+            }
+            _ => 1,
+        }
+    }
+
     /// Executes exactly one slot.
     ///
-    /// The `Send` bounds exist for the pooled phase-1 collection path,
-    /// which hands protocol and message state to worker threads; the
-    /// `Sync` bound for the pooled phase-3 delivery path, whose workers
-    /// share the slot's action buffer read-only while decoding `Heard`
-    /// borrows. Every protocol in this workspace satisfies them.
+    /// The `Send` bounds exist for multi-chunk collection, which hands
+    /// protocol and message state to worker threads; the `Sync` bound for
+    /// multi-chunk delivery, whose workers share the slot's action buffer
+    /// read-only while decoding `Heard` borrows. Every protocol in this
+    /// workspace satisfies them.
     pub fn step(&mut self)
     where
         P: Send,
         P::Message: Send + Sync,
     {
         let slot = Slot(self.slot);
-        let n = self.net.len();
-        self.touched.clear();
-        self.b_cnt.clear();
-        self.l_cnt.clear();
-        self.slot_epoch += 1;
-        let epoch = self.slot_epoch;
+        let k = self.chunks();
+        if k > 1 && self.pool.as_ref().map(WorkerPool::workers) != Some(k - 1) {
+            // Spawned once and kept parked between slots; recreated (the
+            // old pool torn down gracefully) only when the thread count
+            // changes.
+            self.pool = Some(WorkerPool::new(k - 1));
+        }
 
         // Optional phase timing: one clock read here plus one per phase
         // boundary (laps share their boundary read). `None` when timing is
@@ -1653,673 +1688,228 @@ impl<'net, P: Protocol> Engine<'net, P> {
             0
         };
 
-        // Phase 1: collect every node's action through `act_batch`,
-        // translate local labels, count per-channel populations, and
-        // counting-sort into the flat channel buckets — chunked across the
-        // worker pool when the engine is sharded and the routing (measured
-        // by the auto-tuner, or the static threshold) says pooling pays.
-        let pool_threads = match self.resolver {
-            Resolver::ParallelSharded { threads } if threads >= 2 && n >= 2 => Some(threads),
-            _ => None,
-        };
-        let route_pooled = pool_threads.is_some()
-            && match &self.phase1_tune {
-                Some(t) => t.measured >= PHASE1_TUNE_SLOTS,
-                None => n >= self.phase1_min_nodes,
-            };
-        let timer = pool_threads.and(self.phase1_tune.as_ref()).map(|_| std::time::Instant::now());
-        match pool_threads {
-            Some(threads) if route_pooled => self.collect_pooled(threads, slot, epoch),
-            _ => self.collect_sequential(slot, epoch),
-        }
-        if let Some(start) = timer {
-            let ns = start.elapsed().as_nanos();
-            if let Some(t) = self.phase1_tune.as_mut() {
-                if t.measured < PHASE1_TUNE_SLOTS {
-                    t.seq_ns += ns;
-                } else {
-                    t.pooled_ns += ns;
-                }
-                t.measured += 1;
-                if t.measured == 2 * PHASE1_TUNE_SLOTS {
-                    // Lock the measured winner by collapsing the threshold.
-                    self.phase1_min_nodes = if t.pooled_ns < t.seq_ns { 0 } else { usize::MAX };
-                    self.phase1_tune = None;
-                }
-            }
-        }
-
-        // PU accounting over the touched channels (O(t), sequential in
-        // every mode): a busy touched channel swallows its broadcasts.
-        // Listener-side effects are applied during resolution below.
-        if let Some(sp) = &self.spectrum {
-            let mask = sp.mask();
-            for ti in 0..self.touched.len() {
-                if mask.contains(self.touched[ti] as usize) {
-                    self.counters.pu_busy_channel_slots += 1;
-                    self.counters.pu_blocked_broadcasts +=
-                        (self.b_off[ti + 1] - self.b_off[ti]) as u64;
-                }
-            }
-        }
-        // The PU sweep and tuner bookkeeping above are charged to phase 1:
-        // both are O(touched) postludes of collection, not resolution work.
+        self.collect(k, slot);
         let collect_ns = lap(&mut mark);
-
-        // Phase 2: resolve each touched channel — sharded across the pool
-        // when requested, sequentially otherwise.
-        let t = self.touched.len();
-        let route_sharded = matches!(self.resolver, Resolver::ParallelSharded { threads } if threads >= 2)
-            && t >= 2;
-        match self.resolver {
-            Resolver::ParallelSharded { threads } if threads >= 2 && t >= 2 => {
-                self.resolve_all_sharded(threads);
-            }
-            r => self.resolve_all_sequential(r.per_channel()),
-        }
+        let groups = self.resolve(k);
         let resolve_ns = lap(&mut mark);
-
-        // Phase 3: batched feedback delivery. A counting sweep folds the
-        // per-outcome counter updates in one branch-predictable pass, then
-        // `feedback_batch` hands the protocols their packed outcome range —
-        // heard messages are borrowed from the broadcasters' entries in the
-        // action buffer, zero clones. On a sharded engine at large n the
-        // delivery itself runs on the worker pool in contiguous node-range
-        // chunks (bit-identical: a node's feedback depends only on its own
-        // outcome, action buffer, and RNG stream, and the per-chunk counter
-        // deltas merge to the sequential totals exactly).
-        let deliver_pooled = pool_threads.is_some() && n >= self.phase3_min_nodes;
-        match pool_threads {
-            Some(threads) if n >= self.phase3_min_nodes => self.deliver_pooled(threads, slot),
-            _ => self.deliver_sequential(slot),
-        }
+        self.deliver(k, slot);
         let deliver_ns = lap(&mut mark);
 
         if let Some(pt) = self.phase_timings.as_mut() {
-            pt.slots += 1;
-            pt.spectrum_ns += spectrum_ns;
-            if route_pooled {
-                pt.collect_pooled_ns += collect_ns;
-                pt.collect_pooled_slots += 1;
-            } else {
-                pt.collect_sequential_ns += collect_ns;
-            }
-            if route_sharded {
-                pt.resolve_sharded_ns += resolve_ns;
-                pt.resolve_sharded_slots += 1;
-            } else {
-                pt.resolve_sequential_ns += resolve_ns;
-            }
-            if deliver_pooled {
-                pt.deliver_pooled_ns += deliver_ns;
-                pt.deliver_pooled_slots += 1;
-            } else {
-                pt.deliver_sequential_ns += deliver_ns;
-            }
+            pt.record(spectrum_ns, (k, collect_ns), (groups, resolve_ns), (k, deliver_ns));
         }
 
         self.slot += 1;
         self.counters.slots += 1;
     }
 
-    /// Sequential phase 3: the counting sweep over the whole outcome
-    /// range, then one `feedback_batch` call over the whole node range.
-    fn deliver_sequential(&mut self, slot: Slot) {
-        self.counters.apply(count_outcomes(&self.outcomes));
-        let Engine { protocols, rngs, actions, outcomes, .. } = self;
-        let mut ctx = BatchCtx::new(slot, rngs);
-        P::feedback_batch(protocols, &mut ctx, FeedbackBatch::new(outcomes, actions));
-    }
-
-    /// Pooled phase 3: contiguous node-range chunks of (protocols, RNG
-    /// streams, outcomes) delivered by the pool workers plus the calling
-    /// thread, each chunk folding its own counter delta; deltas merge in
-    /// chunk order after the join. Chunk boundaries mirror
-    /// [`Engine::collect_pooled`]; every chunk reads the *full* shared
-    /// action buffer, since broadcaster ids are global.
-    fn deliver_pooled(&mut self, threads: usize, slot: Slot)
-    where
-        P: Send,
-        P::Message: Sync,
-    {
-        let n = self.net.len();
-        let groups = threads.min(n);
-        let chunk = n.div_ceil(groups);
-        let groups = n.div_ceil(chunk);
-        debug_assert!(groups >= 2, "caller guarantees threads >= 2 and n >= 2");
-        self.ensure_pool(threads - 1);
-        while self.deliver.len() < groups {
-            self.deliver.push(DeliverDelta::default());
-        }
-        {
-            let Engine { protocols, rngs, actions, outcomes, deliver, pool, .. } = self;
-            let actions: &[Action<P::Message>] = actions;
-
-            struct DeliverTask<'a, P: Protocol> {
-                protos: &'a mut [P],
-                rngs: &'a mut [SmallRng],
-                outc: &'a [u32],
-                delta: &'a mut DeliverDelta,
-            }
-            let mut tasks: Vec<DeliverTask<'_, P>> = protocols
-                .chunks_mut(chunk)
-                .zip(rngs.chunks_mut(chunk))
-                .zip(outcomes.chunks(chunk))
-                .zip(deliver[..groups].iter_mut())
-                .map(|(((protos, rngs), outc), delta)| DeliverTask { protos, rngs, outc, delta })
-                .collect();
-            debug_assert_eq!(tasks.len(), groups);
-
-            let run_task = |t: &mut DeliverTask<'_, P>| {
-                *t.delta = count_outcomes(t.outc);
-                let mut ctx = BatchCtx::new(slot, t.rngs);
-                P::feedback_batch(t.protos, &mut ctx, FeedbackBatch::new(t.outc, actions));
-            };
-            let (first, rest) = tasks.split_at_mut(1);
-            pool.as_mut().expect("pool ensured above").run_with(
-                rest,
-                |_, t| run_task(t),
-                || run_task(&mut first[0]),
-            );
-        }
-        for i in 0..groups {
-            self.counters.apply(self.deliver[i]);
-        }
-    }
-
-    /// Sequential phase 1: one `act_batch` call over the whole node range,
-    /// then a counting pass over the returned actions and the classic
-    /// prefix-sum + counting-sort scatter into the global channel buckets.
-    fn collect_sequential(&mut self, slot: Slot, epoch: u64) {
-        let n = self.net.len();
-        self.actions.clear();
-        self.outcomes.clear();
-        {
-            let Engine { protocols, rngs, actions, .. } = self;
-            let mut ctx = BatchCtx::new(slot, rngs);
-            P::act_batch(protocols, &mut ctx, actions);
-        }
-        assert_eq!(self.actions.len(), n, "act_batch must emit one action per node");
-
-        // Phase 1a: translate + count with epoch-stamped first-touch
-        // detection.
-        let (mut nb, mut nl, mut ns) = (0u64, 0u64, 0u64);
-        {
-            let Engine {
-                actions,
-                xlate,
-                c,
-                node_plan,
-                outcomes,
-                touched,
-                chan_epoch,
-                chan_slot,
-                b_cnt,
-                l_cnt,
-                ..
-            } = self;
-            let (c, xlate) = (*c, &xlate[..]);
-            for (v, action) in actions.iter().enumerate() {
-                let (packed, outcome) = match action {
-                    Action::Broadcast { channel, .. } => {
-                        nb += 1;
-                        let ch = translate_label(xlate, c, v, *channel);
-                        let ti =
-                            touch_channel(touched, chan_epoch, chan_slot, b_cnt, l_cnt, ch, epoch);
-                        b_cnt[ti as usize] += 1;
-                        (ti | BCAST_BIT, OC_SENT)
-                    }
-                    Action::Listen { channel } => {
-                        nl += 1;
-                        let ch = translate_label(xlate, c, v, *channel);
-                        let ti =
-                            touch_channel(touched, chan_epoch, chan_slot, b_cnt, l_cnt, ch, epoch);
-                        l_cnt[ti as usize] += 1;
-                        (ti, OC_IDLE)
-                    }
-                    Action::Sleep => {
-                        ns += 1;
-                        (SLEEPING, OC_SLEPT)
-                    }
-                };
-                node_plan[v] = packed;
-                outcomes.push(outcome);
-            }
-        }
-        self.counters.broadcasts += nb;
-        self.counters.listens += nl;
-        self.counters.sleeps += ns;
-
-        // Phase 1b: counting-sort scatter into the flat channel buckets
-        // (prefix sums over the touched channels, then one pass over the
-        // nodes — ascending node order within each bucket by construction).
-        let t = self.touched.len();
-        self.b_off.clear();
-        self.l_off.clear();
-        self.b_off.push(0);
-        self.l_off.push(0);
-        let (mut tb, mut tl) = (0u32, 0u32);
-        for ti in 0..t {
-            tb += self.b_cnt[ti];
-            tl += self.l_cnt[ti];
-            self.b_off.push(tb);
-            self.l_off.push(tl);
-        }
-        self.bcast_nodes.resize(tb as usize, 0);
-        self.listen_nodes.resize(tl as usize, 0);
-        // Reuse the count vectors as scatter cursors.
-        self.b_cnt.copy_from_slice(&self.b_off[..t]);
-        self.l_cnt.copy_from_slice(&self.l_off[..t]);
-        for v in 0..n {
-            let packed = self.node_plan[v];
-            if packed == SLEEPING {
-                continue;
-            }
-            // Buckets hold *internal* ids, scattered in ascending external
-            // order (matching the pooled path exactly).
-            if packed & BCAST_BIT != 0 {
-                let ti = (packed & !BCAST_BIT) as usize;
-                let cur = self.b_cnt[ti] as usize;
-                self.bcast_nodes[cur] = self.ext2int[v];
-                self.b_cnt[ti] += 1;
-            } else {
-                let ti = packed as usize;
-                let cur = self.l_cnt[ti] as usize;
-                self.listen_nodes[cur] = self.ext2int[v];
-                self.l_cnt[ti] += 1;
-            }
-        }
-    }
-
-    /// Pooled phase 1: the node range is split into `threads` contiguous
-    /// chunks; the calling thread plus `threads − 1` pool workers each run
-    /// [`collect_chunk`] on one chunk (its `act_batch` call, local counts,
-    /// and local buckets), and the caller then merges the chunk results:
+    /// Phase 1 over `k` contiguous node chunks ([`collect_chunk`] each),
+    /// then, with `k > 1`, the merge: the chunk tables into the engine's
+    /// ([`ChannelTable::merge`] — chunks cover ascending node ranges and
+    /// each chunk list is in first-touch node order, so the merged
+    /// first-touch order and ascending-node buckets are exactly the
+    /// one-chunk table's), and the chunks' actions, in order, onto chunk
+    /// 0's buffer.
     ///
-    /// * the **global touched-channel list** is rebuilt by walking the
-    ///   chunk-local lists in ascending chunk order and keeping first
-    ///   occurrences — which reproduces the sequential path's global
-    ///   first-touch order *exactly*, because chunks cover ascending node
-    ///   ranges and each local list is in first-touch (node) order;
-    /// * per-channel counts are summed and prefix-summed into the global
-    ///   CSR offsets, and each chunk's local bucket segments are copied in
-    ///   chunk order — ascending chunk order × ascending node order within
-    ///   a chunk = globally ascending node order within every bucket,
-    ///   exactly what the sequential scatter produces.
-    ///
-    /// Node RNG streams are untouched by the partition (stream `i` is only
-    /// ever advanced by node `i`'s own draws, in slot order), so the pooled
-    /// path is bit-identical to the sequential one at any thread count —
-    /// enforced by the batch differential suite in
-    /// `tests/tests/engine_equiv.rs`.
-    fn collect_pooled(&mut self, threads: usize, slot: Slot, epoch: u64)
+    /// Node RNG streams are untouched by the split (stream `i` is only ever
+    /// advanced by node `i`'s own draws, in slot order), so the result is
+    /// bit-identical at any `k`. The phase ends with the PU accounting over
+    /// the touched channels: a busy touched channel swallows its broadcasts
+    /// (listener-side effects are applied during resolution).
+    fn collect(&mut self, k: usize, slot: Slot)
     where
         P: Send,
         P::Message: Send,
     {
         let n = self.net.len();
-        let groups = threads.min(n);
-        let chunk = n.div_ceil(groups);
-        let groups = n.div_ceil(chunk);
-        debug_assert!(groups >= 2, "caller guarantees threads >= 2 and n >= 2");
-        self.ensure_pool(threads - 1);
-        let universe = self.chan_epoch.len();
-        while self.collect.len() < groups {
+        let chunk = n.div_ceil(k).max(1);
+        let universe = self.dense_to_raw.len();
+        while self.collect.len() < k {
             self.collect.push(CollectShard::new(universe));
         }
-        self.actions.clear();
-        self.outcomes.clear();
-        self.outcomes.resize(n, OC_IDLE);
+        let Engine {
+            protocols,
+            rngs,
+            node_plan,
+            outcomes,
+            collect,
+            table,
+            xlate,
+            ext2int,
+            c,
+            counters,
+            spectrum,
+            pool,
+            ..
+        } = self;
+        let (c, xlate, ext2int) = (*c, &xlate[..], &ext2int[..]);
+        let tasks = protocols
+            .chunks_mut(chunk)
+            .zip(rngs.chunks_mut(chunk))
+            .zip(node_plan.chunks_mut(chunk))
+            .zip(outcomes.chunks_mut(chunk))
+            .zip(collect.iter_mut());
+        fork_join(pool.as_mut(), tasks, |i, ((((protos, rngs), plan), outc), shard)| {
+            collect_chunk(slot, i * chunk, xlate, ext2int, c, protos, rngs, plan, outc, shard);
+        });
 
-        // Fan out: each chunk task owns disjoint slices of the per-node
-        // state plus one private shard; shard 0 runs on the calling thread.
-        {
-            let Engine {
-                protocols,
-                rngs,
-                node_plan,
-                outcomes,
-                collect,
-                xlate,
-                ext2int,
-                c,
-                pool,
-                ..
-            } = self;
-            let (c, xlate, ext2int) = (*c, &xlate[..], &ext2int[..]);
-            struct ChunkTask<'a, P: Protocol> {
-                base: usize,
-                protos: &'a mut [P],
-                rngs: &'a mut [SmallRng],
-                plan: &'a mut [u32],
-                outc: &'a mut [u32],
-                shard: &'a mut CollectShard<P::Message>,
-            }
-            let mut tasks: Vec<ChunkTask<'_, P>> = Vec::with_capacity(groups);
-            for (i, ((((protos, rngs), plan), outc), shard)) in protocols
-                .chunks_mut(chunk)
-                .zip(rngs.chunks_mut(chunk))
-                .zip(node_plan.chunks_mut(chunk))
-                .zip(outcomes.chunks_mut(chunk))
-                .zip(collect[..groups].iter_mut())
-                .enumerate()
-            {
-                tasks.push(ChunkTask { base: i * chunk, protos, rngs, plan, outc, shard });
-            }
-            let run_task = |t: &mut ChunkTask<'_, P>| {
-                collect_chunk(
-                    slot, t.base, xlate, ext2int, c, t.protos, t.rngs, t.plan, t.outc, t.shard,
-                );
-            };
-            let (first, rest) = tasks.split_at_mut(1);
-            pool.as_mut().expect("pool ensured above").run_with(
-                rest,
-                |_, t| run_task(t),
-                || run_task(&mut first[0]),
-            );
+        let chunks = &mut collect[..n.div_ceil(chunk)];
+        for shard in chunks.iter() {
+            counters.broadcasts += shard.broadcasts;
+            counters.listens += shard.listens;
+            counters.sleeps += shard.sleeps;
         }
+        if k > 1 {
+            table.ch_epoch.resize(universe, 0);
+            table.ch_slot.resize(universe, 0);
+            table.merge(chunks.iter().map(|shard| &shard.table));
+            let (first, rest) = chunks.split_first_mut().expect("k > 1 implies n >= 2");
+            for shard in rest {
+                first.out.append(&mut shard.out);
+            }
+        }
+        debug_assert_eq!(collect[0].out.len(), n);
 
-        // Merge 1: global first-touch channel list + summed counts.
-        {
-            let Engine { collect, touched, chan_epoch, chan_slot, b_cnt, l_cnt, .. } = self;
-            for shard in &collect[..groups] {
-                for (lti, &ch) in shard.touched.iter().enumerate() {
-                    let ti = touch_channel(
-                        touched,
-                        chan_epoch,
-                        chan_slot,
-                        b_cnt,
-                        l_cnt,
-                        ch as usize,
-                        epoch,
-                    ) as usize;
-                    b_cnt[ti] += shard.b_off[lti + 1] - shard.b_off[lti];
-                    l_cnt[ti] += shard.l_off[lti + 1] - shard.l_off[lti];
+        let table: &ChannelTable = if k == 1 { &collect[0].table } else { table };
+        if let Some(sp) = spectrum {
+            let mask = sp.mask();
+            for (ti, &ch) in table.touched.iter().enumerate() {
+                if mask.contains(ch as usize) {
+                    counters.pu_busy_channel_slots += 1;
+                    counters.pu_blocked_broadcasts += table.bcasters(ti).len() as u64;
                 }
             }
         }
-
-        // Merge 2: global prefix sums over the merged counts.
-        let t = self.touched.len();
-        self.b_off.clear();
-        self.l_off.clear();
-        self.b_off.push(0);
-        self.l_off.push(0);
-        let (mut tb, mut tl) = (0u32, 0u32);
-        for ti in 0..t {
-            tb += self.b_cnt[ti];
-            tl += self.l_cnt[ti];
-            self.b_off.push(tb);
-            self.l_off.push(tl);
-        }
-        self.bcast_nodes.resize(tb as usize, 0);
-        self.listen_nodes.resize(tl as usize, 0);
-        self.b_cnt.copy_from_slice(&self.b_off[..t]);
-        self.l_cnt.copy_from_slice(&self.l_off[..t]);
-
-        // Merge 3: copy each chunk's local bucket segments into the global
-        // buckets (contiguous memcpys, cursor per channel), collect the
-        // chunk actions in node order, and sum the action tallies.
-        {
-            let Engine {
-                collect,
-                chan_slot,
-                b_cnt,
-                l_cnt,
-                bcast_nodes,
-                listen_nodes,
-                actions,
-                counters,
-                ..
-            } = self;
-            for shard in &mut collect[..groups] {
-                for (lti, &ch) in shard.touched.iter().enumerate() {
-                    let ti = chan_slot[ch as usize] as usize;
-                    let src =
-                        &shard.b_nodes[shard.b_off[lti] as usize..shard.b_off[lti + 1] as usize];
-                    let cur = b_cnt[ti] as usize;
-                    bcast_nodes[cur..cur + src.len()].copy_from_slice(src);
-                    b_cnt[ti] += src.len() as u32;
-                    let src =
-                        &shard.l_nodes[shard.l_off[lti] as usize..shard.l_off[lti + 1] as usize];
-                    let cur = l_cnt[ti] as usize;
-                    listen_nodes[cur..cur + src.len()].copy_from_slice(src);
-                    l_cnt[ti] += src.len() as u32;
-                }
-                actions.append(&mut shard.out);
-                counters.broadcasts += shard.nb;
-                counters.listens += shard.nl;
-                counters.sleeps += shard.ns;
-            }
-        }
-        debug_assert_eq!(self.actions.len(), n);
     }
 
-    /// Ensures the engine owns a pool with exactly `workers` worker
-    /// threads, recreating it (graceful teardown of the old one) if the
-    /// count changed since the last pooled slot. Shared by pooled phase-1
-    /// collection and sharded phase-2 resolution, which therefore reuse
-    /// the same parked threads within a slot.
-    fn ensure_pool(&mut self, workers: usize) {
-        if self.pool.as_ref().map(WorkerPool::workers) != Some(workers) {
-            self.pool = Some(WorkerPool::new(workers));
-        }
-    }
-
-    /// Sequentially resolves every touched channel with `strategy`, writing
-    /// `self.outcomes` in place.
-    fn resolve_all_sequential(&mut self, strategy: Resolver) {
+    /// Phase 2: resolves every touched channel of the slot's table, as one
+    /// group inline when `k == 1` or fewer than two channels are touched,
+    /// otherwise as up to `k` groups on the pool. Returns the group count.
+    ///
+    /// The partition is contiguous in touched order and balanced by a
+    /// deterministic per-channel cost proxy (`1 + L + Σ_b deg(b)`). Each
+    /// group resolves its channels into a private buffer with private
+    /// scratch, and the buffers are scattered into `self.outcomes` after
+    /// the join. Every listener belongs to exactly one channel (a node
+    /// takes one action per slot), and resolution is deterministic, so the
+    /// result is bit-identical at any group count. A single group writes
+    /// the outcomes in place instead.
+    fn resolve(&mut self, k: usize) -> usize {
+        let n = self.net.len();
         let Engine {
             ig,
             int2ext,
             c,
-            touched,
-            b_off,
-            l_off,
-            bcast_nodes,
-            listen_nodes,
+            collect,
+            table,
             shards,
-            outcomes,
-            spectrum,
-            ..
-        } = self;
-        let busy = spectrum.as_ref().map(SpectrumState::mask);
-        let scratch = &mut shards[0].scratch;
-        let t = touched.len();
-        // Many near-empty channels: one slot-wide marking pass lets every
-        // listener-side probe run against `(epoch, channel)` tags instead
-        // of a per-channel broadcaster set (the fused listener pass). With
-        // populated buckets the per-probe tag loads cost more than the
-        // per-channel set builds they avoid — see `FUSED_MAX_AVG_BUCKET`.
-        let active = (b_off[t] + l_off[t]) as usize;
-        let fused_epoch = (strategy == Resolver::Auto
-            && t >= 2
-            && *c <= FUSED_MAX_C
-            && active <= FUSED_MAX_AVG_BUCKET * t)
-            .then(|| mark_broadcast_channels(scratch, b_off, bcast_nodes, 0, t));
-        for ti in 0..t {
-            let bs = &bcast_nodes[b_off[ti] as usize..b_off[ti + 1] as usize];
-            let ls = &listen_nodes[l_off[ti] as usize..l_off[ti + 1] as usize];
-            if busy.is_some_and(|m| m.contains(touched[ti] as usize)) {
-                // PU-busy channel: broadcasts are lost, every listener
-                // hears noise (even with zero broadcasters — the primary
-                // user itself occupies the medium).
-                for &l in ls {
-                    outcomes[int2ext[l as usize] as usize] = OC_PU_BUSY;
-                }
-                continue;
-            }
-            if bs.is_empty() || ls.is_empty() {
-                // No broadcasters: listeners keep their provisional Idle.
-                // No listeners: nothing can be heard.
-                continue;
-            }
-            let fused = fused_epoch.map(|e| (e, ti as u32));
-            resolve_channel_into(ig, scratch, strategy, fused, bs, ls, &mut |_, l, oc| {
-                outcomes[int2ext[l as usize] as usize] =
-                    if oc < OC_MIN_SENTINEL { int2ext[oc as usize] } else { oc };
-            });
-        }
-    }
-
-    /// Resolves the touched channels across `threads`-way parallelism: the
-    /// calling thread plus `threads − 1` persistent pool workers.
-    ///
-    /// The partition is contiguous in touched order and balanced by a
-    /// deterministic per-channel cost proxy (`1 + L + Σ_b deg(b)`); each
-    /// shard resolves its channels with the `Auto` heuristic into a private
-    /// outcome buffer using private scratch, and the buffers are scattered
-    /// into `self.outcomes` after the join. Channels are independent within
-    /// a slot and resolution is deterministic, so the result is
-    /// bit-identical to sequential resolution at any thread count.
-    ///
-    /// Workers live in a persistent [`WorkerPool`] owned by the engine:
-    /// parked between slots and woken by a generation counter, so the
-    /// per-slot cost is one wake/park round-trip instead of the
-    /// spawn/join (~tens of µs) the previous `std::thread::scope`
-    /// implementation paid — the difference between losing and winning on
-    /// the small-slot, many-slot workloads the paper's Ω(polylog n)-slot
-    /// primitives produce (see `small_slot_200` in the engine bench). The
-    /// pool is spawned on the first sharded slot and re-sized if the
-    /// resolver's thread count changes; shard 0 always runs on the calling
-    /// thread, overlapping with the workers.
-    fn resolve_all_sharded(&mut self, threads: usize) {
-        let t = self.touched.len();
-        let n = self.net.len();
-        let groups = threads.min(t);
-        debug_assert!(groups >= 2);
-
-        // Deterministic cost-balanced contiguous partition.
-        self.shard_weights.clear();
-        for ti in 0..t {
-            let bs = &self.bcast_nodes[self.b_off[ti] as usize..self.b_off[ti + 1] as usize];
-            let nl = (self.l_off[ti + 1] - self.l_off[ti]) as u64;
-            self.shard_weights.push(1 + nl + approx_degree_sum(&self.ig, bs, usize::MAX) as u64);
-        }
-        let total: u64 = self.shard_weights.iter().sum();
-        self.shard_bounds.clear();
-        let mut start = 0usize;
-        let mut cum = 0u64;
-        for (ti, &w) in self.shard_weights.iter().enumerate() {
-            cum += w;
-            let g = self.shard_bounds.len() + 1; // group being filled (1-based)
-            let must_close = t - ti - 1 == groups - g; // leave one channel per group
-            if g < groups && (must_close || cum * groups as u64 >= total * g as u64) {
-                self.shard_bounds.push((start, ti + 1));
-                start = ti + 1;
-            }
-        }
-        self.shard_bounds.push((start, t));
-        let groups = self.shard_bounds.len();
-
-        while self.shards.len() < groups {
-            self.shards.push(ShardSlot::new(n));
-        }
-        // Workers beyond shard 0, spawned once and kept parked between
-        // slots; recreated (old pool torn down gracefully) only if the
-        // resolver's thread count changed since the last sharded slot.
-        self.ensure_pool(threads - 1);
-
-        let c = self.c;
-        let Engine {
-            ig,
-            int2ext,
-            touched,
-            b_off,
-            l_off,
-            bcast_nodes,
-            listen_nodes,
-            shards,
+            shard_weights,
             shard_bounds,
             outcomes,
             pool,
             spectrum,
+            resolver,
             ..
         } = self;
-        let ig: &IntGraph = ig;
-        let int2ext: &[u32] = int2ext;
-        let bounds: &[(usize, usize)] = shard_bounds;
-        let touched: &[u32] = touched;
-        let busy: Option<&BitSet> = spectrum.as_ref().map(SpectrumState::mask);
-        let (b_off, l_off): (&[u32], &[u32]) = (b_off, l_off);
-        let (bcast_nodes, listen_nodes): (&[u32], &[u32]) = (bcast_nodes, listen_nodes);
-
-        // One shard's work, identical on the calling thread and on a pool
-        // worker: resolve the group's channels into the shard's private
-        // outcome buffer (listener-position order) with private scratch.
-        // The PU busy mask was fixed in phase 0, so reading it from every
-        // shard is race-free and order-independent.
-        let resolve_group = |g: usize, shard: &mut ShardSlot| {
-            let (lo, hi) = bounds[g];
-            let listeners_total = (l_off[hi] - l_off[lo]) as usize;
-            shard.out.clear();
-            shard.out.resize(listeners_total, OC_IDLE);
-            // Per-group fused marking: tags are absolute channel indices,
-            // so shards never alias each other's marks even though every
-            // shard bumps its own private scratch epoch independently.
-            // Same near-empty-bucket gate as the sequential path.
-            let active = ((b_off[hi] - b_off[lo]) + (l_off[hi] - l_off[lo])) as usize;
-            let fused_epoch = (hi - lo >= 2
-                && c <= FUSED_MAX_C
-                && active <= FUSED_MAX_AVG_BUCKET * (hi - lo))
-                .then(|| mark_broadcast_channels(&mut shard.scratch, b_off, bcast_nodes, lo, hi));
-            let mut base = 0usize;
-            for ti in lo..hi {
-                let bs = &bcast_nodes[b_off[ti] as usize..b_off[ti + 1] as usize];
-                let ls = &listen_nodes[l_off[ti] as usize..l_off[ti + 1] as usize];
-                if busy.is_some_and(|m| m.contains(touched[ti] as usize)) {
-                    for slot in &mut shard.out[base..base + ls.len()] {
-                        *slot = OC_PU_BUSY;
-                    }
-                } else if !bs.is_empty() && !ls.is_empty() {
-                    let slice = &mut shard.out[base..base + ls.len()];
-                    resolve_channel_into(
-                        ig,
-                        &mut shard.scratch,
-                        Resolver::Auto,
-                        fused_epoch.map(|e| (e, ti as u32)),
-                        bs,
-                        ls,
-                        &mut |pos, _, oc| slice[pos] = oc,
-                    );
-                }
-                base += ls.len();
-            }
+        let table: &ChannelTable = if k == 1 { &collect[0].table } else { table };
+        let (ig, int2ext): (&IntGraph, &[u32]) = (ig, int2ext);
+        let view = SlotView {
+            ig,
+            table,
+            busy: spectrum.as_ref().map(SpectrumState::mask),
+            c: *c,
+            naive: *resolver == Resolver::Naive,
         };
+        let t = table.touched.len();
+        let groups = k.min(t);
+        if groups < 2 {
+            resolve_group(&view, 0, t, &mut shards[0].scratch, &mut |_, l, oc| {
+                outcomes[int2ext[l as usize] as usize] = external(int2ext, oc);
+            });
+            return 1;
+        }
 
-        let (first, rest) = shards.split_at_mut(1);
-        pool.as_mut().expect("pool ensured above").run_with(
-            &mut rest[..groups - 1],
-            |w, shard| resolve_group(w + 1, shard),
-            || resolve_group(0, &mut first[0]),
-        );
-
-        // Scatter the shard buffers into per-node outcomes. Every listener
-        // belongs to exactly one channel (a node takes one action per
-        // slot), so the writes are disjoint and order-free.
-        for (&(lo, hi), shard) in bounds.iter().zip(shards[..groups].iter()) {
-            let mut base = 0usize;
-            for ti in lo..hi {
-                let ls = &listen_nodes[l_off[ti] as usize..l_off[ti + 1] as usize];
-                for (j, &l) in ls.iter().enumerate() {
-                    let oc = shard.out[base + j];
-                    outcomes[int2ext[l as usize] as usize] =
-                        if oc < OC_MIN_SENTINEL { int2ext[oc as usize] } else { oc };
-                }
-                base += ls.len();
+        // Deterministic cost-balanced contiguous partition.
+        shard_weights.clear();
+        for ti in 0..t {
+            let degrees = approx_degree_sum(ig, table.bcasters(ti), usize::MAX) as u64;
+            shard_weights.push(1 + table.listeners(ti).len() as u64 + degrees);
+        }
+        let total: u64 = shard_weights.iter().sum();
+        shard_bounds.clear();
+        let mut start = 0usize;
+        let mut cum = 0u64;
+        for (ti, &w) in shard_weights.iter().enumerate() {
+            cum += w;
+            let g = shard_bounds.len() + 1; // group being filled (1-based)
+            let must_close = t - ti - 1 == groups - g; // leave one channel per group
+            if g < groups && (must_close || cum * groups as u64 >= total * g as u64) {
+                shard_bounds.push((start, ti + 1));
+                start = ti + 1;
             }
+        }
+        shard_bounds.push((start, t));
+        while shards.len() < groups {
+            shards.push(ShardSlot::new(n));
+        }
+
+        let bounds: &[(usize, usize)] = shard_bounds;
+        fork_join(pool.as_mut(), bounds.iter().zip(shards.iter_mut()), |_, (group, shard)| {
+            let (lo, hi) = **group;
+            let ShardSlot { scratch, out } = &mut **shard;
+            out.clear();
+            out.resize((table.l_off[hi] - table.l_off[lo]) as usize, OC_IDLE);
+            resolve_group(&view, lo, hi, scratch, &mut |pos, _, oc| out[pos] = oc);
+        });
+        for (&(lo, hi), shard) in bounds.iter().zip(shards.iter()) {
+            let listeners = &table.l_nodes[table.l_off[lo] as usize..table.l_off[hi] as usize];
+            for (&l, &oc) in listeners.iter().zip(&shard.out) {
+                outcomes[int2ext[l as usize] as usize] = external(int2ext, oc);
+            }
+        }
+        groups
+    }
+
+    /// Phase 3 over `k` contiguous node chunks of (protocols, RNG streams,
+    /// outcomes): each chunk folds its counter delta and runs
+    /// `feedback_batch`, reading the *full* slot action buffer (broadcaster
+    /// ids are global). A node's feedback depends only on its own outcome,
+    /// the action buffer and its own RNG stream, and the deltas merge in
+    /// chunk order, so the result is bit-identical at any `k`.
+    fn deliver(&mut self, k: usize, slot: Slot)
+    where
+        P: Send,
+        P::Message: Sync,
+    {
+        let n = self.net.len();
+        let chunk = n.div_ceil(k).max(1);
+        self.deliver.resize(n.div_ceil(chunk), DeliverDelta::default());
+        let Engine { protocols, rngs, outcomes, collect, deliver, counters, pool, .. } = self;
+        let actions: &[Action<P::Message>] = &collect[0].out;
+        let tasks = protocols
+            .chunks_mut(chunk)
+            .zip(rngs.chunks_mut(chunk))
+            .zip(outcomes.chunks(chunk))
+            .zip(deliver.iter_mut());
+        fork_join(pool.as_mut(), tasks, |_, (((protos, rngs), outc), delta)| {
+            **delta = count_outcomes(outc);
+            let mut ctx = BatchCtx::new(slot, rngs);
+            P::feedback_batch(protos, &mut ctx, FeedbackBatch::new(outc, actions));
+        });
+        for d in deliver.iter() {
+            counters.apply(*d);
         }
     }
 
     /// Runs until `max_slots` slots have executed, every protocol is
     /// complete, or the optional probe returns `true`.
     ///
-    /// The probe (if provided as `Some((interval, f))`) is evaluated every
-    /// `interval` slots with the current slot count; it is how experiments
+    /// The probe (if provided as `Some((interval, f))`) is evaluated with
+    /// the current slot count before the first slot, every `interval`
+    /// slots, and once more when the run stops; it is how experiments
     /// measure *time-to-completion* against external ground truth. The run
-    /// continues to the protocols' own schedule end even after the probe
-    /// fires only if `stop_on_probe` is false — here we always stop, because
-    /// completion-time experiments don't need the tail.
+    /// stops at the first slot the probe returns `true` — completion-time
+    /// experiments don't need the tail.
     pub fn run(&mut self, max_slots: u64, mut probe: Option<Probe<'_, '_, 'net, P>>) -> RunOutcome
     where
         P: Send,
@@ -2374,14 +1964,10 @@ mod tests {
     use super::*;
     use crate::ids::LocalChannel;
 
-    const ALL_RESOLVERS: [Resolver; 6] = [
-        Resolver::Auto,
-        Resolver::BroadcasterCentric,
-        Resolver::ListenerCentric,
-        Resolver::Naive,
-        Resolver::ParallelSharded { threads: 2 },
-        Resolver::ParallelSharded { threads: 4 },
-    ];
+    /// Below 2048 nodes a sharded engine runs exactly the `Auto` path, so
+    /// these small networks have two distinct resolvers; the multi-chunk
+    /// paths are exercised at n ≥ 2048 here and in `tests/`.
+    const ALL_RESOLVERS: [Resolver; 2] = [Resolver::Auto, Resolver::Naive];
 
     /// Test protocol: node 0..k broadcast a constant each slot on local
     /// channel `ch`; others listen on local channel `lch`; records hears.
@@ -2571,8 +2157,7 @@ mod tests {
         assert_eq!(c1, c2);
         assert_eq!(o1, o2);
         assert_ne!(c1, c3, "different seeds should (generically) differ");
-        // Every resolver — including the sharded one — is observationally
-        // identical.
+        // Every resolver is observationally identical.
         for resolver in ALL_RESOLVERS {
             let (c, o) = run(42, resolver);
             assert_eq!(c, c1, "{resolver:?} diverges on counters");
@@ -2693,9 +2278,8 @@ mod tests {
     #[test]
     fn dense_channel_mix_is_resolver_invariant() {
         // A tougher scenario than the unit cases above: several overlapping
-        // channels, random roles, non-trivial topology. All resolvers —
-        // sequential and sharded — must agree slot-by-slot on every counter
-        // and output.
+        // channels, random roles, non-trivial topology. All resolvers must
+        // agree on every counter and output.
         struct Rnd {
             c: u16,
             heard: Vec<u32>,
@@ -2759,7 +2343,7 @@ mod tests {
 
     #[test]
     fn sharded_resolver_with_one_thread_is_sequential_auto() {
-        // threads ≤ 1 must take the sequential path (and still be correct).
+        // threads ≤ 1 must take the one-chunk path (and still be correct).
         let net = star(5);
         for threads in [0usize, 1] {
             let mut eng = Engine::with_resolver(&net, 7, Resolver::sharded(threads), |ctx| Fixed {
@@ -2872,5 +2456,86 @@ mod tests {
         eng.step();
         let after: u64 = eng.channel_rng(GlobalChannel(0)).gen();
         assert_ne!(before, after, "different slots get different streams");
+    }
+    /// Deterministic traffic for the routing tests: a third of the nodes
+    /// broadcast, the rest listen; on even slots each node tunes to local
+    /// channel `id % 4` (four touched channels), on odd slots everyone
+    /// tunes to local channel 0 (one touched channel).
+    struct Spread {
+        id: u32,
+    }
+
+    impl Protocol for Spread {
+        type Message = u32;
+        type Output = ();
+        fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u32> {
+            let channel =
+                LocalChannel(if ctx.slot.0.is_multiple_of(2) { (self.id % 4) as u16 } else { 0 });
+            if self.id.is_multiple_of(3) {
+                Action::Broadcast { channel, message: self.id }
+            } else {
+                Action::Listen { channel }
+            }
+        }
+        fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, _fb: Feedback<'_, u32>) {}
+        fn is_complete(&self) -> bool {
+            false
+        }
+        fn into_output(self) {}
+    }
+
+    /// A ring of `n` nodes, every node on the same four global channels.
+    fn ring4(n: usize) -> Network {
+        let mut b = Network::builder(n);
+        for v in 0..n as u32 {
+            b.set_channels(NodeId(v), (0..4).map(GlobalChannel).collect());
+            b.add_edge(NodeId(v), NodeId((v + 1) % n as u32));
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn pooling_follows_the_node_count_from_the_first_slot() {
+        // Below the threshold a sharded engine never splits a phase; at it,
+        // collection and delivery split on every slot from the first, and
+        // resolution whenever at least two channels are touched (the even
+        // slots here). No warm-up slots, no clock.
+        for (n, pooled) in [(POOL_MIN_NODES - 1, false), (POOL_MIN_NODES, true)] {
+            let net = ring4(n);
+            let mut eng =
+                Engine::with_resolver(&net, 3, Resolver::sharded(4), |ctx| Spread { id: ctx.id.0 });
+            eng.set_phase_timing(true);
+            for slots in 1..=6u64 {
+                eng.step();
+                let pt = eng.phase_timings().expect("timing is on");
+                let (split, sharded) = if pooled { (slots, slots.div_ceil(2)) } else { (0, 0) };
+                assert_eq!(pt.collect_pooled_slots, split, "n={n} after {slots} slots");
+                assert_eq!(pt.deliver_pooled_slots, split, "n={n} after {slots} slots");
+                assert_eq!(pt.resolve_sharded_slots, sharded, "n={n} after {slots} slots");
+            }
+            assert!(eng.counters().deliveries > 0, "n={n}: the ring must deliver");
+        }
+    }
+
+    #[test]
+    fn internal_memory_counts_the_scratch_a_pooled_slot_allocates() {
+        // The first slot on a 4-thread engine resolves four channels in
+        // four groups, so it allocates the scratch of groups 1..4 (16 bytes
+        // and one bit per node each) on top of its collection chunks. The
+        // reported growth must cover at least that.
+        let n = POOL_MIN_NODES;
+        let net = ring4(n);
+        let mut eng =
+            Engine::with_resolver(&net, 3, Resolver::sharded(4), |ctx| Spread { id: ctx.id.0 });
+        let before = eng.internal_memory_bytes();
+        eng.set_phase_timing(true);
+        eng.step();
+        assert_eq!(eng.phase_timings().map(|pt| pt.resolve_sharded_slots), Some(1));
+        let group_scratch = 3 * (16 * n + n / 8);
+        let grown = eng.internal_memory_bytes() - before;
+        assert!(
+            grown >= group_scratch,
+            "grew {grown} bytes, group scratch alone is {group_scratch}"
+        );
     }
 }

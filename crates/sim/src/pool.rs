@@ -8,9 +8,12 @@
 //! exactly what dominates wall-clock at scale. [`WorkerPool`] replaces the
 //! per-slot spawn with threads that live as long as the pool (in practice:
 //! as long as the owning [`Engine`](crate::engine::Engine)) and spend their
-//! idle time parked in the OS. The same pool serves both of the engine's
-//! parallel phases: chunked phase-1 action collection (for large `n`) and
-//! channel-sharded phase-2 resolution — one generation wake per dispatch.
+//! idle time parked in the OS. The same pool serves all three of the
+//! engine's phases — node-range chunks of action collection, cost-balanced
+//! channel groups of resolution, and node-range chunks of feedback
+//! delivery — with one generation wake per phase. The engine hands it work
+//! only on networks of at least 2048 nodes; a one-chunk phase runs on the
+//! caller and never wakes the pool.
 //!
 //! # Wake protocol
 //!
@@ -58,11 +61,11 @@
 //!
 //! # Determinism
 //!
-//! The pool schedules *which thread* runs a shard, never *what the shard
-//! computes*: the engine's shard partition and per-channel resolution are
-//! deterministic functions of the slot's actions, so results are
-//! bit-identical at any worker count (enforced by the differential suite in
-//! `tests/tests/engine_equiv.rs`).
+//! The pool schedules *which thread* runs a chunk, never *what the chunk
+//! computes*: the engine's chunk boundaries, channel partition and
+//! per-channel resolution are deterministic functions of the slot's input,
+//! so results are bit-identical at any worker count (enforced by the
+//! differential suite in `tests/tests/engine_equiv.rs`).
 
 #![allow(unsafe_code)]
 

@@ -151,9 +151,9 @@ pub struct SlotCtx<'a, R: RngCore = SmallRng> {
 /// private RNG streams of every node in the batch (index-aligned with the
 /// protocol slice).
 ///
-/// Constructed by the engine, which hands each phase-1 chunk — the whole
-/// node range on the sequential path, a contiguous sub-range per worker on
-/// the pooled path — its own `BatchCtx`.
+/// Constructed by the engine, which hands each phase-1 and phase-3 chunk —
+/// the whole node range on a one-chunk engine, a contiguous sub-range per
+/// thread on a multi-chunk one — its own `BatchCtx`.
 pub struct BatchCtx<'a> {
     slot: Slot,
     rngs: &'a mut [SmallRng],
@@ -391,8 +391,9 @@ pub trait Protocol {
     /// exactly `batch.len()` actions to `out`, one per instance in batch
     /// order, drawing node `i`'s randomness only from stream `i` of `ctx`.
     ///
-    /// This is the engine's phase-1 entry point — the unit its pooled
-    /// collection path dispatches to worker threads in node-range chunks.
+    /// This is the engine's phase-1 entry point, called once per
+    /// node-range chunk (the whole range, or one chunk per thread on a
+    /// multi-chunk engine).
     /// The default implementation delegates to scalar [`Protocol::act`]
     /// per node, so existing implementations keep working unchanged.
     ///
@@ -421,8 +422,9 @@ pub trait Protocol {
     /// node `i` of the batch receives the feedback decoded from outcome
     /// `i` of `fb`, drawing any randomness only from stream `i` of `ctx`.
     ///
-    /// This is the engine's phase-3 entry point — the unit its pooled
-    /// delivery path dispatches to worker threads in node-range chunks.
+    /// This is the engine's phase-3 entry point, called once per
+    /// node-range chunk (the whole range, or one chunk per thread on a
+    /// multi-chunk engine).
     /// The default implementation delegates to scalar
     /// [`Protocol::feedback`] per node, so existing implementations keep
     /// working unchanged.

@@ -24,8 +24,8 @@
 //! *which channel is transitioning in which slot*, never by visit order.
 //! The busy mask is therefore a pure function of `(master seed, dynamics,
 //! slot)`: bit-identical across every
-//! [`Resolver`](crate::engine::Resolver), every worker-pool thread count,
-//! pooled phase-1 collection on or off, and across
+//! [`Resolver`](crate::engine::Resolver), every worker-pool thread count
+//! and chunk count, and across
 //! [`Engine::reset`](crate::engine::Engine::reset) reuse.
 //!
 //! The on/off processes are sojourn-based: a channel holds its state for a

@@ -1,4 +1,5 @@
-//! The experiment suite: one module per paper claim (see DESIGN.md §5).
+//! The experiment suite: one module per paper claim (listed in the README's
+//! "The experiment suite" section).
 //!
 //! Every experiment is a pure function from an [`ExpConfig`] to one or more
 //! [`Table`]s, so the `experiments` binary, the integration tests and the
@@ -54,7 +55,8 @@ impl ExpConfig {
     }
 }
 
-/// All experiment identifiers, in DESIGN.md order.
+/// All experiment identifiers, in the order of the README's experiment
+/// table.
 pub const ALL_EXPERIMENTS: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "a1", "a2", "a3",
     "a3b", "r1",

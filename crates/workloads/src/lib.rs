@@ -13,9 +13,9 @@
 //!   injection for testing the harness itself;
 //! * [`table`] — markdown/CSV result tables;
 //! * [`theory`] — the paper's bounds as unit-constant reference curves;
-//! * [`experiments`] — one module per paper claim (E1–E10, A1–A3; see
-//!   DESIGN.md §5), shared by the `experiments` binary, the integration
-//!   tests and the criterion benches.
+//! * [`experiments`] — one module per paper claim (E1–E12, A1–A3b, R1; see
+//!   the README's "The experiment suite" section), shared by the
+//!   `experiments` binary, the integration tests and the criterion benches.
 //!
 //! ## Example
 //!

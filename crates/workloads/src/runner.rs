@@ -19,17 +19,19 @@ use crn_core::discovery::{all_discovered, all_good_discovered, DiscoveryProtocol
 use crn_sim::{Counters, Engine, Network, NodeCtx, NodeId, Protocol, Resolver, SpectrumDynamics};
 
 /// How each trial's engine executes: the slot resolution strategy, including
-/// the number of phase-2 shard threads when parallel resolution is wanted.
+/// the number of threads each slot runs on when a parallel engine is wanted.
 ///
 /// Trials themselves are already run in parallel (one engine per worker), so
 /// the default is a sequential engine — [`EngineExec::sharded`] is for the
 /// opposite regime: few/huge runs where a *single* engine must use many
-/// cores. A sharded trial engine owns a persistent worker pool
+/// cores. On a network of at least 2048 nodes a sharded trial engine splits
+/// every phase of every slot across a persistent worker pool
 /// ([`crn_sim::pool::WorkerPool`]): the workers are spawned on the first
-/// sharded slot of the trial, stay parked between slots, and are torn down
-/// with the engine — so even many-slot trials pay thread setup once, not
-/// per slot. Every execution mode is observationally identical (enforced by
-/// the engine's differential tests), so this knob never changes results.
+/// slot of the trial, stay parked between slots, and are torn down with the
+/// engine — so even many-slot trials pay thread setup once, not per slot.
+/// On a smaller network it runs sequentially and never spawns the pool.
+/// Every execution mode is observationally identical (enforced by the
+/// engine's differential tests), so this knob never changes results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineExec {
     /// The resolution strategy trials run with.
@@ -48,14 +50,17 @@ impl EngineExec {
         EngineExec { resolver: Resolver::Auto }
     }
 
-    /// Channel-sharded engine: phase-2 resolution on the trial thread plus
-    /// `threads − 1` persistent pool workers.
+    /// Parallel engine: on networks of at least 2048 nodes, every phase of
+    /// every slot runs on the trial thread plus `threads − 1` persistent
+    /// pool workers; below that size it runs sequentially, exactly like
+    /// [`EngineExec::sequential`].
     pub fn sharded(threads: usize) -> EngineExec {
         EngineExec { resolver: Resolver::sharded(threads) }
     }
 
     /// [`EngineExec::sharded`] at the machine's available parallelism —
-    /// the right call for a single huge run on an otherwise idle host.
+    /// the right call for a single huge run on an otherwise idle host
+    /// (below 2048 nodes it runs sequentially, like any sharded engine).
     /// Safe to use anywhere: results never depend on the thread count.
     pub fn sharded_auto() -> EngineExec {
         EngineExec::sharded(std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
@@ -331,8 +336,8 @@ where
 }
 
 /// [`discovery_trials`] with an explicit engine execution mode (the
-/// engine-threads knob: pass [`EngineExec::sharded`] to resolve each slot's
-/// channels across a thread pool inside every trial).
+/// engine-threads knob: pass [`EngineExec::sharded`] to split each slot of
+/// a large network across a thread pool inside every trial).
 pub fn discovery_trials_exec<P, F>(
     net: &Network,
     make: F,

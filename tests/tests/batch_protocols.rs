@@ -10,10 +10,12 @@
 //! delegation for both — and the two executions must produce bit-identical
 //! counters and outputs on the same network and seed.
 //!
-//! The matrix covers sequential and channel-sharded engines at threads
-//! {1, 2, 4} with pooled phase-1 collection and pooled phase-3 delivery
-//! each forced on and off, so the chunked dispatch of both batch hooks is
-//! exercised, including ragged chunk boundaries.
+//! Each protocol runs its full schedule on a small network, where every
+//! engine runs one chunk, and a prefix of the same schedule on a network
+//! above the engine's 2048-node pooling size, where sharded engines at
+//! threads {2, 3, 4} split collection and delivery into chunks — so the
+//! chunked dispatch of both batch hooks is exercised, including ragged
+//! chunk boundaries (the big network's 2053 nodes are prime).
 
 use crn_core::baselines::{
     FixedRateDiscovery, FixedRateSchedule, NaiveBroadcast, NaiveDiscovery, NaiveDiscoverySchedule,
@@ -28,7 +30,7 @@ use crn_sim::rng::stream_rng;
 use crn_sim::topology::Topology;
 use crn_sim::{
     Action, Counters, Engine, Feedback, LocalChannel, Network, NodeCtx, NodeId, Protocol, Resolver,
-    SlotCtx,
+    SlotCtx, StatsMode,
 };
 
 /// A transparent protocol wrapper that forwards `act`, `feedback`,
@@ -70,66 +72,82 @@ fn build_net(topo: &Topology, model: &ChannelModel, seed: u64) -> Network {
         b.set_channels(NodeId(v as u32), set);
     }
     b.add_edges(topo.edges(&mut rng).into_iter().map(|(a, x)| (NodeId(a), NodeId(x))));
+    if n >= BIG_N {
+        // The schedules come from the small networks' exact stats; the big
+        // network only needs to build fast.
+        b.stats_mode(StatsMode::Approximate);
+    }
     b.build().unwrap()
 }
 
-/// Runs `make`'s protocol batched and its [`ScalarOnly`] twin scalar,
-/// across sequential and sharded engines at threads {1, 2, 4} with pooled
-/// phase-1 collection and pooled phase-3 delivery each forced on and off,
-/// and requires bit-identical counters and outputs everywhere.
-fn assert_batch_matches_scalar<P, F>(net: &Network, seed: u64, slots: u64, make: F)
+/// Node count of the multi-chunk legs: above the engine's 2048-node
+/// pooling size, and prime, so every thread count leaves a ragged final
+/// chunk.
+const BIG_N: usize = 2053;
+
+/// Slots of each schedule the multi-chunk legs run.
+const PREFIX: u64 = 48;
+
+/// A sparse random network of [`BIG_N`] nodes (average degree ≈ 8) with
+/// the given channel model — the same channels per node as the small
+/// network whose schedule the protocol runs.
+fn big_net(model: &ChannelModel, seed: u64) -> Network {
+    build_net(&Topology::SparseErdosRenyi { n: BIG_N, p: 8.0 / (BIG_N as f64 - 1.0) }, model, seed)
+}
+
+fn run<Q, F>(
+    net: &Network,
+    seed: u64,
+    resolver: Resolver,
+    slots: u64,
+    make: F,
+) -> (Counters, Vec<Q::Output>)
+where
+    Q: Protocol + Send,
+    Q::Message: Send + Sync,
+    F: FnMut(NodeCtx) -> Q,
+{
+    let mut eng = Engine::with_resolver(net, seed, resolver, make);
+    eng.run_to_completion(slots);
+    (eng.counters(), eng.into_outputs())
+}
+
+/// Runs `make`'s protocol batched and its [`ScalarOnly`] twin scalar and
+/// requires bit-identical counters and outputs:
+///
+/// * over the full `slots`-slot schedule on `net`, where every engine
+///   runs one chunk;
+/// * over the first [`PREFIX`] slots on `big`, where the scalar twin on
+///   3 threads proves the chunked default delegation (any third-party
+///   protocol that overrides neither batch hook) and the batched protocol
+///   runs on one chunk and on threads {2, 4}.
+fn assert_batch_matches_scalar<P, F>(net: &Network, big: &Network, seed: u64, slots: u64, make: F)
 where
     P: Protocol + Send,
     P::Message: Send + Sync,
     P::Output: PartialEq + std::fmt::Debug + Send,
     F: Fn(NodeCtx) -> P + Copy,
 {
-    let scalar =
-        |resolver: Resolver, phase1_min: usize, phase3_min: usize| -> (Counters, Vec<P::Output>) {
-            let mut eng = Engine::with_resolver(net, seed, resolver, |ctx| ScalarOnly(make(ctx)));
-            eng.set_phase1_pool_min_nodes(phase1_min);
-            eng.set_phase3_pool_min_nodes(phase3_min);
-            eng.run_to_completion(slots);
-            (eng.counters(), eng.into_outputs())
-        };
-    let batched =
-        |resolver: Resolver, phase1_min: usize, phase3_min: usize| -> (Counters, Vec<P::Output>) {
-            let mut eng = Engine::with_resolver(net, seed, resolver, make);
-            eng.set_phase1_pool_min_nodes(phase1_min);
-            eng.set_phase3_pool_min_nodes(phase3_min);
-            eng.run_to_completion(slots);
-            (eng.counters(), eng.into_outputs())
-        };
+    let scalar = |ctx| ScalarOnly(make(ctx));
+    let (ref_counters, ref_outputs) = run(net, seed, Resolver::Auto, slots, scalar);
+    let (counters, outputs) = run(net, seed, Resolver::Auto, slots, make);
+    assert_eq!(counters, ref_counters, "batched counters diverge from scalar");
+    assert_eq!(outputs, ref_outputs, "batched outputs diverge from scalar");
 
-    let (ref_counters, ref_outputs) = scalar(Resolver::Auto, usize::MAX, usize::MAX);
-
-    // The scalar twin under pooled delivery: a protocol that overrides
-    // neither batch hook (any third-party impl) must survive the chunked
-    // default delegation unchanged.
-    let (counters, outputs) = scalar(Resolver::ParallelSharded { threads: 3 }, usize::MAX, 0);
-    assert_eq!(counters, ref_counters, "pooled scalar-delegation counters diverge");
-    assert_eq!(outputs, ref_outputs, "pooled scalar-delegation outputs diverge");
-
-    // The batched protocol across threads {1, 2, 4} × pooled delivery
-    // {off, on} (× pooled phase-1 on wherever the engine is sharded; a
-    // 1-thread engine is plain sequential).
+    let (ref_counters, ref_outputs) = run(big, seed, Resolver::Auto, PREFIX, scalar);
+    let (counters, outputs) = run(big, seed, Resolver::sharded(3), PREFIX, scalar);
+    assert_eq!(counters, ref_counters, "chunked scalar-delegation counters diverge");
+    assert_eq!(outputs, ref_outputs, "chunked scalar-delegation outputs diverge");
     for threads in [1usize, 2, 4] {
-        let (resolver, phase1_min) = if threads == 1 {
-            (Resolver::Auto, usize::MAX)
-        } else {
-            (Resolver::ParallelSharded { threads }, 0)
-        };
-        for phase3_min in [usize::MAX, 0] {
-            let (counters, outputs) = batched(resolver, phase1_min, phase3_min);
-            assert_eq!(
-                counters, ref_counters,
-                "batched counters diverge from scalar (threads {threads}, phase3_min {phase3_min})"
-            );
-            assert_eq!(
-                outputs, ref_outputs,
-                "batched outputs diverge from scalar (threads {threads}, phase3_min {phase3_min})"
-            );
-        }
+        let (counters, outputs) = run(big, seed, Resolver::sharded(threads), PREFIX, make);
+        assert_eq!(
+            counters, ref_counters,
+            "batched counters diverge from scalar on {BIG_N} nodes, {threads} threads"
+        );
+        assert_eq!(
+            outputs, ref_outputs,
+            "batched outputs diverge from scalar on {BIG_N} nodes, {threads} threads"
+        );
     }
 }
 
@@ -137,43 +155,41 @@ where
 fn cseek_batch_matches_scalar() {
     // n = 13 with 3 chunks gives ragged chunk boundaries; history recording
     // on so the full output surface is compared.
-    let net = build_net(
-        &Topology::RandomGeometric { n: 13, radius: 0.5 },
-        &ChannelModel::SharedCore { c: 4, core: 2 },
-        5,
-    );
+    let model = ChannelModel::SharedCore { c: 4, core: 2 };
+    let net = build_net(&Topology::RandomGeometric { n: 13, radius: 0.5 }, &model, 5);
     let m = ModelInfo::from_stats(&net.stats());
     let sched = SeekParams::default().schedule(&m);
-    assert_batch_matches_scalar(&net, 31, sched.total_slots(), |ctx: NodeCtx| {
+    let big = big_net(&model, 5);
+    assert_batch_matches_scalar(&net, &big, 31, sched.total_slots(), |ctx: NodeCtx| {
         CSeek::new(ctx.id, sched, true)
     });
 }
 
 #[test]
 fn cgcast_batch_matches_scalar() {
-    let net = build_net(
-        &Topology::Grid { rows: 2, cols: 3 },
-        &ChannelModel::SharedCore { c: 3, core: 2 },
-        6,
-    );
+    let model = ChannelModel::SharedCore { c: 3, core: 2 };
+    let net = build_net(&Topology::Grid { rows: 2, cols: 3 }, &model, 6);
     let m = ModelInfo::from_stats(&net.stats());
     let d = net.stats().diameter.expect("connected network");
     let sched = GcastParams { dissemination_phases: d.max(1), ..Default::default() }.schedule(&m);
-    assert_batch_matches_scalar(&net, 19, sched.total_slots(), |ctx: NodeCtx| {
+    let big = big_net(&model, 6);
+    assert_batch_matches_scalar(&net, &big, 19, sched.total_slots(), |ctx: NodeCtx| {
         CGCast::new(ctx.id, sched, (ctx.id == NodeId(0)).then_some(0xfeed))
     });
 }
 
 #[test]
 fn uncolored_gcast_batch_matches_scalar() {
-    let net = build_net(&Topology::Path { n: 5 }, &ChannelModel::SharedCore { c: 3, core: 2 }, 2);
+    let model = ChannelModel::SharedCore { c: 3, core: 2 };
+    let net = build_net(&Topology::Path { n: 5 }, &model, 2);
     let m = ModelInfo::from_stats(&net.stats());
     let d = net.stats().diameter.expect("connected network");
     let sched =
         GcastParams { dissemination_phases: 2 * d.max(1), ..Default::default() }.schedule(&m);
+    let big = big_net(&model, 2);
     // The uncolored variant's schedule is shorter than total_slots; running
     // to protocol completion covers the whole state machine.
-    assert_batch_matches_scalar(&net, 23, sched.total_slots(), |ctx: NodeCtx| {
+    assert_batch_matches_scalar(&net, &big, 23, sched.total_slots(), |ctx: NodeCtx| {
         UncoloredGcast::new(ctx.id, sched, (ctx.id == NodeId(0)).then_some(0xfeed))
     });
 }
@@ -192,6 +208,8 @@ fn count_batch_matches_scalar() {
         }
     }
     let net = b.build().unwrap();
+    // Above the pooling size: a sparse graph on the same single channel.
+    let big = big_net(&ChannelModel::Identical { c: 1 }, 41);
     let sched = crn_core::params::CountParams::default().schedule(&ModelInfo {
         n: 64,
         c: 1,
@@ -199,7 +217,7 @@ fn count_batch_matches_scalar() {
         k: 1,
         kmax: 1,
     });
-    assert_batch_matches_scalar(&net, 41, sched.total_slots(), |ctx: NodeCtx| {
+    assert_batch_matches_scalar(&net, &big, 41, sched.total_slots(), |ctx: NodeCtx| {
         let role = if ctx.id == NodeId(0) { Role::Listener } else { Role::Broadcaster };
         CountProtocol::new(ctx.id, role, sched, LocalChannel(0))
     });
@@ -207,35 +225,35 @@ fn count_batch_matches_scalar() {
 
 #[test]
 fn baselines_batch_match_scalar() {
-    let net = build_net(&Topology::Cycle { n: 7 }, &ChannelModel::SharedCore { c: 3, core: 2 }, 9);
+    let model = ChannelModel::SharedCore { c: 3, core: 2 };
+    let net = build_net(&Topology::Cycle { n: 7 }, &model, 9);
     let m = ModelInfo::from_stats(&net.stats());
+    let big = big_net(&model, 9);
 
     let naive = NaiveDiscoverySchedule::new(&m, 2.0);
-    assert_batch_matches_scalar(&net, 51, naive.total_slots(), |ctx: NodeCtx| {
+    assert_batch_matches_scalar(&net, &big, 51, naive.total_slots(), |ctx: NodeCtx| {
         NaiveDiscovery::new(ctx.id, naive)
     });
 
     let fixed = FixedRateSchedule::new(&m, 2.0);
-    assert_batch_matches_scalar(&net, 52, fixed.total_slots(), |ctx: NodeCtx| {
+    assert_batch_matches_scalar(&net, &big, 52, fixed.total_slots(), |ctx: NodeCtx| {
         FixedRateDiscovery::new(ctx.id, fixed)
     });
 
     let slots = NaiveBroadcast::schedule_slots(&m, 3, 2.0);
-    assert_batch_matches_scalar(&net, 53, slots, |ctx: NodeCtx| {
+    assert_batch_matches_scalar(&net, &big, 53, slots, |ctx: NodeCtx| {
         NaiveBroadcast::new(ctx.id, m.c as u16, slots, (ctx.id == NodeId(0)).then_some(42))
     });
 }
 
 #[test]
 fn exchange_batch_matches_scalar() {
-    let net = build_net(
-        &Topology::Grid { rows: 3, cols: 3 },
-        &ChannelModel::SharedCore { c: 4, core: 2 },
-        1,
-    );
+    let model = ChannelModel::SharedCore { c: 4, core: 2 };
+    let net = build_net(&Topology::Grid { rows: 3, cols: 3 }, &model, 1);
     let m = ModelInfo::from_stats(&net.stats());
     let sched = SeekParams::default().schedule(&m);
-    assert_batch_matches_scalar(&net, 17, sched.total_slots(), |ctx: NodeCtx| {
+    let big = big_net(&model, 1);
+    assert_batch_matches_scalar(&net, &big, 17, sched.total_slots(), |ctx: NodeCtx| {
         Exchange::new(ctx.id, sched, vec![ctx.id.0; 2])
     });
 }

@@ -1,27 +1,30 @@
 //! Differential equivalence tests for the engine's slot resolvers.
 //!
-//! The optimized resolution strategies (broadcaster-centric CSR sweep,
-//! listener-centric word intersection, the Auto heuristic that mixes them
-//! per channel, and the channel-sharded parallel resolver — persistent
-//! parked worker pool — at every thread count) must be *observationally
-//! identical* to the naive reference resolver — bit-for-bit equal
-//! counters, per-slot feedback traces, and outputs — on every network,
-//! seed, and action mix. This file drives randomized networks through all
-//! resolvers side by side, including a proptest property over
-//! topology/channel-count/seed space, slot-by-slot lockstep comparison
-//! across repeated `step` calls on one engine instance, and engine reuse
-//! via [`Engine::reset`] (pool state must not leak between runs).
+//! The `Auto` resolver (broadcaster-centric sweep or listener-centric probe,
+//! chosen per channel) and the sharded engine at every thread count must be
+//! *observationally identical* to the naive reference resolver —
+//! bit-for-bit equal counters, per-slot feedback traces, and outputs — on
+//! every network, seed, and action mix. This file drives randomized
+//! networks through the resolvers side by side, including a proptest
+//! property over topology/channel-count/seed space, slot-by-slot lockstep
+//! comparison across repeated `step` calls on one engine instance, and
+//! engine reuse via [`Engine::reset`] (pool state must not leak between
+//! runs).
+//!
+//! A sharded engine splits its phases only on networks of at least 2048
+//! nodes; below that it runs the one-chunk `Auto` path. The multi-chunk
+//! legs here therefore run on [`BIG_N`]-node networks, whose prime size
+//! leaves a ragged final chunk at every thread count.
 //!
 //! The same standard applies to the *batched act and feedback pipelines*:
 //! a protocol's [`Protocol::act_batch`] / [`Protocol::feedback_batch`]
 //! overrides (buffered bulk draws) must be draw-for-draw identical to the
 //! scalar [`Protocol::act`] / [`Protocol::feedback`], and the engine's
-//! pooled phase-1 collection (node-range chunks on the worker pool, merged
-//! by prefix-sum) and pooled phase-3 delivery (same chunking, per-chunk
-//! counter deltas merged in chunk order) must be bit-identical to their
-//! sequential forms — all enforced here by running a batched protocol
-//! against a scalar-only twin across thread counts with the pooled stages
-//! forced on and off, under static and dynamic spectrum alike.
+//! multi-chunk collection (node-range chunks on the worker pool, merged by
+//! prefix-sum) and delivery (same chunking, per-chunk counter deltas merged
+//! in chunk order) must be bit-identical to one chunk — all enforced here
+//! by running a batched protocol against a scalar-only twin below and above
+//! the pooling size, under static and dynamic spectrum alike.
 
 use crn_sim::channels::ChannelModel;
 use crn_sim::engine::Resolver;
@@ -29,7 +32,7 @@ use crn_sim::topology::Topology;
 use crn_sim::{
     act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Counters, Engine, Feedback,
     FeedbackBatch, GlobalChannel, LocalChannel, Network, NodeCtx, Protocol, SlotCtx,
-    SpectrumDynamics,
+    SpectrumDynamics, StatsMode,
 };
 use rand::{Rng, RngCore};
 
@@ -146,6 +149,26 @@ fn build_network(topology: &Topology, channels: &ChannelModel, seed: u64) -> Net
     Network::generate(topology, channels, seed).expect("scenario network must build")
 }
 
+/// Node count of the multi-chunk legs: above the engine's 2048-node pooling
+/// size, and prime, so every thread count leaves a ragged final chunk.
+const BIG_N: usize = 2053;
+
+/// A sparse random network of [`BIG_N`] nodes (average degree ≈ 8) on
+/// which a sharded engine splits every phase. Two shared core channels
+/// carry the contention; each node's private channels add hundreds of
+/// touched channels per slot for the merge and the partition to order,
+/// and keep the buckets small enough for the fused listener pass.
+fn big_network(seed: u64) -> Network {
+    big_network_on(&ChannelModel::SharedCore { c: 4, core: 2 }, seed)
+}
+
+/// [`big_network`]'s topology under any channel model.
+fn big_network_on(channels: &ChannelModel, seed: u64) -> Network {
+    let topology = Topology::SparseErdosRenyi { n: BIG_N, p: 8.0 / (BIG_N as f64 - 1.0) };
+    Network::generate_with_stats(&topology, channels, seed, StatsMode::Approximate)
+        .expect("big network must build")
+}
+
 fn run(
     net: &Network,
     resolver: Resolver,
@@ -164,21 +187,19 @@ fn run(
     (eng.counters(), eng.into_outputs())
 }
 
-/// Every optimized resolver, including the sharded one at thread counts
-/// {1, 2, 4, 8}. Sequential modes must match `Naive` bit-for-bit; the
-/// sharded mode must do so at *every* thread count.
-const OPTIMIZED_RESOLVERS: [Resolver; 7] = [
-    Resolver::Auto,
-    Resolver::BroadcasterCentric,
-    Resolver::ListenerCentric,
-    Resolver::ParallelSharded { threads: 1 },
-    Resolver::ParallelSharded { threads: 2 },
-    Resolver::ParallelSharded { threads: 4 },
-    Resolver::ParallelSharded { threads: 8 },
-];
+/// The optimized resolvers as they run below the pooling size: `Auto`, and
+/// the sharded engine's one-chunk path (any thread count runs it there).
+const OPTIMIZED_RESOLVERS: [Resolver; 2] =
+    [Resolver::Auto, Resolver::ParallelSharded { threads: 1 }];
+
+/// Thread counts of the multi-chunk legs on [`big_network`].
+const POOLED_THREADS: [usize; 3] = [2, 4, 8];
 
 /// The scenario matrix: all resolvers over randomized topologies, channel
-/// assignments, broadcast densities, and seeds.
+/// assignments, broadcast densities, and seeds — on one chunk, then split
+/// across thread counts {2, 4, 8} above the pooling size, both with three
+/// crowded shared channels (each resolution group builds per-channel
+/// broadcaster sets) and with mostly private ones (the fused listener pass).
 #[test]
 fn all_resolvers_agree_on_randomized_networks() {
     let scenarios: Vec<(Topology, ChannelModel, f64)> = vec![
@@ -225,20 +246,32 @@ fn all_resolvers_agree_on_randomized_networks() {
             }
         }
     }
+
+    let crowded = ChannelModel::Identical { c: 3 };
+    for (name, net) in [("crowded", big_network_on(&crowded, 31)), ("private", big_network(31))] {
+        let c = net.channels_per_node() as u16;
+        let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 3, c, 0.5, 24);
+        assert!(ref_counters.deliveries > 0, "{name} never delivers — not probing anything");
+        for threads in POOLED_THREADS {
+            let resolver = Resolver::ParallelSharded { threads };
+            let (counters, traces) = run(&net, resolver, 3, c, 0.5, 24);
+            assert_eq!(counters, ref_counters, "{name} {resolver:?}: counters diverge from Naive");
+            assert_eq!(traces, ref_traces, "{name} {resolver:?}: traces diverge from Naive");
+        }
+    }
 }
 
 /// Mid-run resolver switches must not perturb the execution: the stream of
-/// observations is a function of (network, seed) only.
+/// observations is a function of (network, seed) only. On a network above
+/// the pooling size the rotation also changes the chunk count every slot
+/// (1, 3, 1, 2) and re-sizes the worker pool mid-run.
 #[test]
 fn switching_resolvers_mid_run_changes_nothing() {
-    let net = build_network(
-        &Topology::RandomGeometric { n: 50, radius: 0.4 },
-        &ChannelModel::SharedCore { c: 3, core: 2 },
-        1234,
-    );
+    let net = big_network(1234);
     let c = net.channels_per_node() as u16;
+    let slots = 24;
 
-    let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 5, c, 0.5, 96);
+    let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 5, c, 0.5, slots);
 
     let mut eng = Engine::with_resolver(&net, 5, Resolver::Naive, |ctx| Chatter {
         c,
@@ -247,14 +280,12 @@ fn switching_resolvers_mid_run_changes_nothing() {
         trace: Vec::new(),
     });
     let rotation = [
-        Resolver::BroadcasterCentric,
-        Resolver::ListenerCentric,
         Resolver::Auto,
         Resolver::ParallelSharded { threads: 3 },
         Resolver::Naive,
         Resolver::ParallelSharded { threads: 2 },
     ];
-    for i in 0..96 {
+    for i in 0..slots as usize {
         eng.set_resolver(rotation[i % rotation.len()]);
         eng.step();
     }
@@ -263,18 +294,15 @@ fn switching_resolvers_mid_run_changes_nothing() {
 }
 
 /// Slot-by-slot lockstep differential across repeated `step` calls on the
-/// *same* engine instance: the pooled sharded engine at threads {1, 2, 4,
-/// 8} must agree with a naive-resolver engine after **every** slot, not
-/// just at the end of a run — so a divergence introduced by pool state
-/// carried between slots (stale shard buffers, a missed wake, a stale
-/// generation) is pinned to the exact slot where it appears.
+/// *same* engine instance: the sharded engine at threads {1, 2, 4, 8}
+/// above the pooling size must agree with a naive-resolver engine after
+/// **every** slot, not just at the end of a run — so a divergence
+/// introduced by pool state carried between slots (stale shard buffers, a
+/// missed wake, a stale generation) is pinned to the exact slot where it
+/// appears.
 #[test]
 fn pooled_engine_stays_in_lockstep_with_naive_across_steps() {
-    let net = build_network(
-        &Topology::ErdosRenyi { n: 48, p: 0.15 },
-        &ChannelModel::SharedCore { c: 4, core: 2 },
-        77,
-    );
+    let net = big_network(77);
     let c = net.channels_per_node() as u16;
     let make = |ctx: crn_sim::NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
 
@@ -282,7 +310,7 @@ fn pooled_engine_stays_in_lockstep_with_naive_across_steps() {
         let mut reference = Engine::with_resolver(&net, 21, Resolver::Naive, make);
         let mut pooled =
             Engine::with_resolver(&net, 21, Resolver::ParallelSharded { threads }, make);
-        for slot in 0..72u64 {
+        for slot in 0..32u64 {
             reference.step();
             pooled.step();
             assert_eq!(
@@ -298,113 +326,80 @@ fn pooled_engine_stays_in_lockstep_with_naive_across_steps() {
     }
 }
 
-/// Batch-vs-scalar lockstep differential: a batched protocol (buffered
-/// bulk draws) on a sharded engine — with pooled phase-1 collection forced
-/// **on** and forced **off** — must agree with a scalar-only twin on a
-/// naive sequential engine after **every** slot, at thread counts
-/// {1, 2, 4, 8}. This pins any divergence (an over-reserved word buffer, a
-/// mis-merged bucket, a chunk boundary error) to the exact slot where it
-/// first appears.
+/// Steps a scalar-twin reference on the naive resolver and a batched
+/// [`Chatter`] engine on `resolver` in lockstep, requiring equal counters
+/// after **every** slot and equal feedback traces at the end. This pins
+/// any divergence (an over-reserved word buffer, a mis-merged bucket, a
+/// chunk boundary error, a mis-decoded outcome word, a counter delta
+/// merged out of order, a chunk handed the wrong RNG lane) to the exact
+/// slot where it first appears.
+fn assert_batched_lockstep(net: &Network, seed: u64, resolver: Resolver, slots: u64) {
+    let c = net.channels_per_node() as u16;
+    let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
+    let mut reference =
+        Engine::with_resolver(net, seed, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
+    let mut batched = Engine::with_resolver(net, seed, resolver, chatter);
+    let n = net.len();
+    for slot in 0..slots {
+        reference.step();
+        batched.step();
+        assert_eq!(
+            batched.counters(),
+            reference.counters(),
+            "n={n} {resolver:?}: counters diverge after slot {slot}"
+        );
+    }
+    let (mut ref_traces, mut batched_traces) = (Vec::new(), Vec::new());
+    reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
+    batched.for_each_protocol(|_, p| batched_traces.push(p.trace.clone()));
+    assert_eq!(batched_traces, ref_traces, "n={n} {resolver:?}: feedback traces diverge");
+}
+
+/// Batch-vs-scalar lockstep differential for the whole pipeline: the
+/// batched protocol on the one-chunk path (a small network) and on
+/// multi-chunk collection and delivery at threads {2, 4, 8} (a network
+/// above the pooling size) must agree with the scalar-only twin on a naive
+/// engine after every slot.
 #[test]
 fn batched_pipeline_stays_in_lockstep_with_scalar() {
-    let net = build_network(
+    let small = build_network(
         &Topology::ErdosRenyi { n: 48, p: 0.15 },
         &ChannelModel::SharedCore { c: 4, core: 2 },
         77,
     );
-    let c = net.channels_per_node() as u16;
-    let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
-
-    for threads in [1usize, 2, 4, 8] {
-        // Pooled phase-1 forced on (threshold 0) and forced off (MAX); at
-        // threads = 1 the engine must ignore the force-on and stay
-        // sequential.
-        for phase1_min in [0usize, usize::MAX] {
-            let mut reference =
-                Engine::with_resolver(&net, 21, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
-            let mut batched =
-                Engine::with_resolver(&net, 21, Resolver::ParallelSharded { threads }, chatter);
-            batched.set_phase1_pool_min_nodes(phase1_min);
-            for slot in 0..72u64 {
-                reference.step();
-                batched.step();
-                assert_eq!(
-                    batched.counters(),
-                    reference.counters(),
-                    "threads={threads} phase1_min={phase1_min}: counters diverge after slot {slot}"
-                );
-            }
-            let (mut ref_traces, mut batched_traces) = (Vec::new(), Vec::new());
-            reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
-            batched.for_each_protocol(|_, p| batched_traces.push(p.trace.clone()));
-            assert_eq!(
-                batched_traces, ref_traces,
-                "threads={threads} phase1_min={phase1_min}: feedback traces diverge"
-            );
-        }
+    assert_batched_lockstep(&small, 21, Resolver::ParallelSharded { threads: 1 }, 72);
+    let big = big_network(77);
+    for threads in POOLED_THREADS {
+        assert_batched_lockstep(&big, 21, Resolver::ParallelSharded { threads }, 32);
     }
 }
 
-/// Phase-3 twin differential: the batched feedback path — sequential
-/// *and* pooled delivery (threshold forced to 0 and to MAX) — must agree
-/// with the scalar-delegation twin on a naive sequential engine after
-/// **every** slot, at thread counts {1, 2, 4, 8}. A divergence here is a
-/// delivery bug (a mis-decoded outcome word, a counter delta merged out of
-/// order, a chunk handed the wrong RNG lane), pinned to the exact slot
-/// where it first appears.
+/// Phase-3 twin differential: the batched feedback path must agree with
+/// the scalar-delegation twin on a naive engine after every slot, on one
+/// chunk (a small network) and on odd thread counts {3, 7} above the
+/// pooling size, where every delivery chunk boundary is ragged.
 #[test]
 fn batched_feedback_stays_in_lockstep_with_scalar() {
-    let net = build_network(
+    let small = build_network(
         &Topology::ErdosRenyi { n: 48, p: 0.15 },
         &ChannelModel::SharedCore { c: 4, core: 2 },
         303,
     );
-    let c = net.channels_per_node() as u16;
-    let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
-
-    for threads in [1usize, 2, 4, 8] {
-        // Pooled delivery forced on (threshold 0) and forced off (MAX); at
-        // threads = 1 the engine must ignore the force-on and deliver
-        // sequentially.
-        for phase3_min in [0usize, usize::MAX] {
-            let mut reference =
-                Engine::with_resolver(&net, 13, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
-            let mut batched =
-                Engine::with_resolver(&net, 13, Resolver::ParallelSharded { threads }, chatter);
-            batched.set_phase3_pool_min_nodes(phase3_min);
-            for slot in 0..72u64 {
-                reference.step();
-                batched.step();
-                assert_eq!(
-                    batched.counters(),
-                    reference.counters(),
-                    "threads={threads} phase3_min={phase3_min}: counters diverge after slot {slot}"
-                );
-            }
-            let (mut ref_traces, mut batched_traces) = (Vec::new(), Vec::new());
-            reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
-            batched.for_each_protocol(|_, p| batched_traces.push(p.trace.clone()));
-            assert_eq!(
-                batched_traces, ref_traces,
-                "threads={threads} phase3_min={phase3_min}: feedback traces diverge"
-            );
-        }
+    assert_batched_lockstep(&small, 13, Resolver::ParallelSharded { threads: 1 }, 72);
+    let big = big_network(303);
+    for threads in [3usize, 7] {
+        assert_batched_lockstep(&big, 13, Resolver::ParallelSharded { threads }, 32);
     }
 }
 
 /// Dynamic-spectrum delivery differential: with a primary-user process
-/// installed, pooled phase-3 delivery must fold the `OC_PU_BUSY` outcome
-/// into **both** `collisions` and `pu_blocked_listens` exactly as the
-/// scalar path does, per slot, across thread counts and with pooled
-/// phase-1 collection also engaged. The final assertion that the PU
-/// actually bit guards the test against silently probing nothing.
+/// installed, multi-chunk delivery must fold the `OC_PU_BUSY` outcome into
+/// **both** `collisions` and `pu_blocked_listens` exactly as the scalar
+/// path does, per slot, across thread counts. The final assertion that the
+/// PU actually bit guards the test against silently probing nothing.
 #[test]
 fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
-    let net = build_network(
-        &Topology::ErdosRenyi { n: 48, p: 0.15 },
-        &ChannelModel::SharedCore { c: 4, core: 2 },
-        404,
-    );
+    let net = big_network(404);
     let c = net.channels_per_node() as u16;
     let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
     let dyn_ = SpectrumDynamics::MarkovOnOff { p_busy: 0.25, p_free: 0.25 };
@@ -413,27 +408,22 @@ fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
         Engine::with_resolver(&net, 33, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
     reference.set_spectrum(dyn_.clone());
 
-    let mut others: Vec<(usize, usize, Engine<'_, Chatter>)> = Vec::new();
-    for threads in [2usize, 4, 8] {
-        for phase3_min in [0usize, usize::MAX] {
-            let mut eng =
-                Engine::with_resolver(&net, 33, Resolver::ParallelSharded { threads }, chatter);
-            eng.set_phase1_pool_min_nodes(0);
-            eng.set_phase3_pool_min_nodes(phase3_min);
-            eng.set_spectrum(dyn_.clone());
-            others.push((threads, phase3_min, eng));
-        }
+    let mut others: Vec<(usize, Engine<'_, Chatter>)> = Vec::new();
+    for threads in POOLED_THREADS {
+        let mut eng =
+            Engine::with_resolver(&net, 33, Resolver::ParallelSharded { threads }, chatter);
+        eng.set_spectrum(dyn_.clone());
+        others.push((threads, eng));
     }
 
-    for slot in 0..72u64 {
+    for slot in 0..32u64 {
         reference.step();
-        for (threads, phase3_min, eng) in &mut others {
+        for (threads, eng) in &mut others {
             eng.step();
             assert_eq!(
                 eng.counters(),
                 reference.counters(),
-                "threads={threads} phase3_min={phase3_min}: PU counter folding diverges after \
-                 slot {slot}"
+                "threads={threads}: PU counter folding diverges after slot {slot}"
             );
         }
     }
@@ -443,75 +433,66 @@ fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
 
     let mut ref_traces = Vec::new();
     reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
-    for (threads, phase3_min, eng) in &mut others {
+    for (threads, eng) in &mut others {
         let mut traces = Vec::new();
         eng.for_each_protocol(|_, p| traces.push(p.trace.clone()));
-        assert_eq!(
-            traces, ref_traces,
-            "threads={threads} phase3_min={phase3_min}: feedback traces diverge"
-        );
+        assert_eq!(traces, ref_traces, "threads={threads}: feedback traces diverge");
     }
 }
 
-/// Pooled delivery composes with engine reuse: the per-chunk delta scratch
-/// allocated on first pooled delivery survives [`Engine::reset`] by design
-/// and must be observationally invisible — one engine running pooled
-/// delivery twice back-to-back (at *different* thread counts, so the
-/// scratch is re-chunked) reproduces the naive scalar reference. n = 29 is
-/// prime, so both thread counts produce a ragged final chunk.
+/// Multi-chunk delivery composes with engine reuse: the per-chunk delta
+/// scratch allocated on the first pooled slot survives [`Engine::reset`]
+/// by design and must be observationally invisible — one engine running
+/// twice back-to-back (at *different* thread counts, so the scratch is
+/// re-chunked and the pool re-sized) reproduces the naive scalar
+/// reference. [`BIG_N`] is prime, so both thread counts leave a ragged
+/// final chunk.
 #[test]
 fn pooled_delivery_survives_reset_and_odd_chunks() {
-    let net = build_network(
-        &Topology::RandomGeometric { n: 29, radius: 0.45 },
-        &ChannelModel::SharedCore { c: 3, core: 2 },
-        902,
-    );
+    let net = big_network(902);
     let c = net.channels_per_node() as u16;
     let make = |ctx: NodeCtx| Chatter { c, p_bcast: 0.4, id: ctx.id.0, trace: Vec::new() };
-    let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 8, c, 0.4, 64);
+    let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 8, c, 0.4, 32);
 
     let mut eng = Engine::with_resolver(&net, 8, Resolver::ParallelSharded { threads: 3 }, make);
-    eng.set_phase1_pool_min_nodes(0);
-    eng.set_phase3_pool_min_nodes(0);
-    eng.run_to_completion(64);
+    eng.run_to_completion(32);
     assert_eq!(eng.counters(), ref_counters, "first pooled-delivery run diverges");
 
     // Reset and rerun with a different thread count: the delivery scratch
     // from the first run must be re-sliced, not trusted.
     eng.reset(8, make);
     eng.set_resolver(Resolver::ParallelSharded { threads: 7 });
-    eng.run_to_completion(64);
+    eng.run_to_completion(32);
     assert_eq!(eng.counters(), ref_counters, "post-reset pooled-delivery run diverges");
     let traces: Vec<Vec<Obs>> = eng.into_outputs();
     assert_eq!(traces, ref_traces, "post-reset pooled-delivery traces diverge");
 }
 
-/// Pooled phase-1 collection composes with everything else the engine
-/// does: resolver switching mid-run, engine reuse via reset, and odd
-/// chunking (thread counts that don't divide n).
+/// Multi-chunk collection composes with everything else the engine does:
+/// engine reuse via reset, odd chunking (thread counts that don't divide
+/// n), and resolver switches mid-run that move between one chunk and
+/// several.
 #[test]
 fn pooled_collection_survives_reset_and_odd_chunks() {
-    // n = 29 is prime: every thread count in the rotation produces a
-    // ragged final chunk.
-    let net = build_network(
-        &Topology::RandomGeometric { n: 29, radius: 0.45 },
-        &ChannelModel::SharedCore { c: 3, core: 2 },
-        901,
-    );
+    let net = big_network(901);
     let c = net.channels_per_node() as u16;
     let make = |ctx: NodeCtx| Chatter { c, p_bcast: 0.4, id: ctx.id.0, trace: Vec::new() };
-    let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 8, c, 0.4, 64);
+    let (ref_counters, ref_traces) = run(&net, Resolver::Naive, 8, c, 0.4, 36);
 
-    let mut eng = Engine::with_resolver(&net, 8, Resolver::ParallelSharded { threads: 3 }, make);
-    eng.set_phase1_pool_min_nodes(0);
-    eng.run_to_completion(64);
+    let mut eng = Engine::with_resolver(&net, 8, Resolver::ParallelSharded { threads: 7 }, make);
+    eng.run_to_completion(36);
     assert_eq!(eng.counters(), ref_counters, "first pooled-collection run diverges");
 
-    // Reset and rerun with a different thread count: shard state, local
-    // buckets, and the pool must all be observationally invisible.
+    // Reset and rerun through 3 chunks, 1 chunk, and 2 chunks: chunk
+    // tables, local buckets, and the pool must all be observationally
+    // invisible.
     eng.reset(8, make);
-    eng.set_resolver(Resolver::ParallelSharded { threads: 7 });
-    eng.run_to_completion(64);
+    for resolver in [Resolver::sharded(3), Resolver::Auto, Resolver::sharded(2)] {
+        eng.set_resolver(resolver);
+        for _ in 0..12 {
+            eng.step();
+        }
+    }
     assert_eq!(eng.counters(), ref_counters, "post-reset pooled run diverges");
     let traces: Vec<Vec<Obs>> = eng.into_outputs();
     assert_eq!(traces, ref_traces, "post-reset pooled traces diverge");
@@ -522,26 +503,30 @@ fn pooled_collection_survives_reset_and_odd_chunks() {
 /// — guarding against pool or scratch state leaking from the first run
 /// into the second (the persistent worker pool, shard buffers, and epoch
 /// stamps all survive a reset by design and must be observationally
-/// invisible).
+/// invisible). Runs the one-chunk path on a small network and the
+/// four-chunk path above the pooling size.
 #[test]
 fn engine_reuse_via_reset_matches_fresh_engines() {
-    let net = build_network(
+    let small = build_network(
         &Topology::RandomGeometric { n: 40, radius: 0.4 },
         &ChannelModel::SharedCore { c: 3, core: 2 },
         4242,
     );
-    let c = net.channels_per_node() as u16;
-    let make = |ctx: crn_sim::NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
-    let slots = 64;
+    let big = big_network(4242);
 
-    for resolver in [Resolver::Auto, Resolver::ParallelSharded { threads: 4 }] {
+    for (net, resolver, slots) in
+        [(&small, Resolver::Auto, 64), (&big, Resolver::ParallelSharded { threads: 4 }, 24)]
+    {
+        let c = net.channels_per_node() as u16;
+        let make =
+            |ctx: crn_sim::NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
         // Fresh-engine ground truth for both seeds.
-        let (fresh1_counters, fresh1_traces) = run(&net, resolver, 9, c, 0.5, slots);
-        let (fresh2_counters, fresh2_traces) = run(&net, resolver, 10, c, 0.5, slots);
+        let (fresh1_counters, fresh1_traces) = run(net, resolver, 9, c, 0.5, slots);
+        let (fresh2_counters, fresh2_traces) = run(net, resolver, 10, c, 0.5, slots);
         assert_ne!(fresh1_traces, fresh2_traces, "seeds must differ for the test to probe");
 
         // One engine, two executions back-to-back.
-        let mut eng = Engine::with_resolver(&net, 9, resolver, make);
+        let mut eng = Engine::with_resolver(net, 9, resolver, make);
         eng.run_to_completion(slots);
         assert_eq!(eng.counters(), fresh1_counters, "{resolver:?}: first run counters");
         let mut traces1 = Vec::new();
@@ -566,22 +551,22 @@ fn engine_reuse_via_reset_matches_fresh_engines() {
 }
 
 /// The spectrum-dynamics differential: with a primary-user process
-/// installed, every resolver at every thread count — pooled phase-1
-/// collection forced on and off — must stay in slot-by-slot lockstep with
-/// the naive sequential engine running the *same* dynamics. The busy mask
-/// is computed once per slot from per-(slot, channel)-keyed streams, so
-/// any divergence here is a masking bug (a shard reading a stale mask, a
-/// busy channel resolved anyway, a miscounted PU counter), pinned to the
-/// slot where it first appears.
+/// installed, every resolver — on one chunk below the pooling size, and at
+/// threads {2, 4, 8} above it — must stay in slot-by-slot lockstep with
+/// the naive engine running the *same* dynamics. The busy mask is computed
+/// once per slot from per-(slot, channel)-keyed streams, so any divergence
+/// here is a masking bug (a shard reading a stale mask, a busy channel
+/// resolved anyway, a miscounted PU counter), pinned to the slot where it
+/// first appears.
 #[test]
 fn dynamic_spectrum_stays_in_lockstep_across_resolvers() {
-    let net = build_network(
+    let small = build_network(
         &Topology::ErdosRenyi { n: 48, p: 0.15 },
         &ChannelModel::SharedCore { c: 4, core: 2 },
         77,
     );
-    let c = net.channels_per_node() as u16;
-    let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
+    let big = big_network(77);
+    let pooled = POOLED_THREADS.map(|threads| Resolver::ParallelSharded { threads });
 
     let dynamics = [
         SpectrumDynamics::MarkovOnOff { p_busy: 0.2, p_free: 0.3 },
@@ -594,45 +579,45 @@ fn dynamic_spectrum_stays_in_lockstep_across_resolvers() {
         ]),
     ];
 
-    for dyn_ in dynamics {
-        let mut reference = Engine::with_resolver(&net, 21, Resolver::Naive, chatter);
-        reference.set_spectrum(dyn_.clone());
+    let legs: [(&Network, &[Resolver], u64); 2] =
+        [(&small, &OPTIMIZED_RESOLVERS, 72), (&big, &pooled, 24)];
+    for (net, resolvers, slots) in legs {
+        let n = net.len();
+        let c = net.channels_per_node() as u16;
+        let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
+        for dyn_ in &dynamics {
+            let mut reference = Engine::with_resolver(net, 21, Resolver::Naive, chatter);
+            reference.set_spectrum(dyn_.clone());
 
-        let mut others: Vec<(Resolver, usize, Engine<'_, Chatter>)> = Vec::new();
-        for resolver in OPTIMIZED_RESOLVERS {
-            for phase1_min in [0usize, usize::MAX] {
-                let mut eng = Engine::with_resolver(&net, 21, resolver, chatter);
-                eng.set_phase1_pool_min_nodes(phase1_min);
+            let mut others: Vec<(Resolver, Engine<'_, Chatter>)> = Vec::new();
+            for &resolver in resolvers {
+                let mut eng = Engine::with_resolver(net, 21, resolver, chatter);
                 eng.set_spectrum(dyn_.clone());
-                others.push((resolver, phase1_min, eng));
+                others.push((resolver, eng));
             }
-        }
 
-        for slot in 0..72u64 {
-            reference.step();
-            for (resolver, phase1_min, eng) in &mut others {
-                eng.step();
-                assert_eq!(
-                    eng.counters(),
-                    reference.counters(),
-                    "{dyn_:?} {resolver:?} phase1_min={phase1_min}: counters diverge after \
-                     slot {slot}"
-                );
+            for slot in 0..slots {
+                reference.step();
+                for (resolver, eng) in &mut others {
+                    eng.step();
+                    assert_eq!(
+                        eng.counters(),
+                        reference.counters(),
+                        "n={n} {dyn_:?} {resolver:?}: counters diverge after slot {slot}"
+                    );
+                }
             }
-        }
-        let counters = reference.counters();
-        assert!(counters.deliveries > 0, "{dyn_:?}: scenario must still deliver");
-        assert!(counters.pu_blocked_listens > 0, "{dyn_:?}: the PU must actually bite");
+            let counters = reference.counters();
+            assert!(counters.deliveries > 0, "n={n} {dyn_:?}: scenario must still deliver");
+            assert!(counters.pu_blocked_listens > 0, "n={n} {dyn_:?}: the PU must actually bite");
 
-        let mut ref_traces = Vec::new();
-        reference.for_each_protocol(|_, p| ref_traces.push(p.trace.clone()));
-        for (resolver, phase1_min, eng) in &mut others {
-            let mut traces = Vec::new();
-            eng.for_each_protocol(|_, p| traces.push(p.trace.clone()));
-            assert_eq!(
-                traces, ref_traces,
-                "{dyn_:?} {resolver:?} phase1_min={phase1_min}: feedback traces diverge"
-            );
+            let mut ref_traces = Vec::new();
+            reference.for_each_protocol(|_, p| ref_traces.push(p.trace.clone()));
+            for (resolver, eng) in &mut others {
+                let mut traces = Vec::new();
+                eng.for_each_protocol(|_, p| traces.push(p.trace.clone()));
+                assert_eq!(traces, ref_traces, "n={n} {dyn_:?} {resolver:?}: traces diverge");
+            }
         }
     }
 }
@@ -663,20 +648,16 @@ fn static_dynamics_reproduce_spectrum_free_results() {
     assert_eq!(eng.into_outputs(), ref_traces);
 }
 
-/// Spectrum state must be reset-invisible: one engine running dynamics
-/// twice via [`Engine::reset`] reproduces two fresh engines (the PU draws
-/// are keyed by (seed, slot, channel), not by process history).
+/// Spectrum state must be reset-invisible: one multi-chunk engine running
+/// dynamics twice via [`Engine::reset`] reproduces two fresh engines (the
+/// PU draws are keyed by (seed, slot, channel), not by process history).
 #[test]
 fn spectrum_survives_engine_reset() {
-    let net = build_network(
-        &Topology::ErdosRenyi { n: 32, p: 0.2 },
-        &ChannelModel::SharedCore { c: 3, core: 2 },
-        55,
-    );
+    let net = big_network(55);
     let c = net.channels_per_node() as u16;
     let make = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
     let dyn_ = SpectrumDynamics::MarkovOnOff { p_busy: 0.25, p_free: 0.25 };
-    let slots = 64;
+    let slots = 24;
 
     let fresh = |seed: u64| {
         let mut eng = Engine::with_resolver(&net, seed, Resolver::sharded(4), make);
@@ -698,11 +679,12 @@ fn spectrum_survives_engine_reset() {
     assert_eq!(eng.into_outputs(), traces2, "reused traces diverge from fresh");
 }
 
-/// Property over topology/channel-count/seed space: the scalar sequential
-/// engine, the batched engine, and the channel-sharded engine at 2, 4, and
-/// 8 threads — with pooled phase-1 collection both forced on and off — are
-/// bit-identical (counters *and* full per-slot feedback traces) on
-/// randomized networks.
+/// Property over topology/channel-count/seed space: the scalar engine, the
+/// batched engine, and — on networks above the pooling size — the sharded
+/// engine at 2, 4, and 8 threads are bit-identical (counters *and* full
+/// per-slot feedback traces) on randomized networks. Below the pooling
+/// size a sharded engine runs the batched `Auto` path itself, so those
+/// cases compare the two act paths only.
 mod sharded_equivalence_property {
     use super::*;
     use proptest::prelude::*;
@@ -734,27 +716,6 @@ mod sharded_equivalence_property {
         (eng.counters(), eng.into_outputs())
     }
 
-    /// Like [`run`] but with the pooled phase-1 threshold pinned.
-    fn run_phase1(
-        net: &Network,
-        resolver: Resolver,
-        seed: u64,
-        c: u16,
-        p_bcast: f64,
-        slots: u64,
-        phase1_min: usize,
-    ) -> (Counters, Vec<Vec<Obs>>) {
-        let mut eng = Engine::with_resolver(net, seed, resolver, |ctx| Chatter {
-            c,
-            p_bcast,
-            id: ctx.id.0,
-            trace: Vec::new(),
-        });
-        eng.set_phase1_pool_min_nodes(phase1_min);
-        eng.run_to_completion(slots);
-        (eng.counters(), eng.into_outputs())
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -766,43 +727,43 @@ mod sharded_equivalence_property {
             core in 1u16..3,
             seed in 0u64..1_000,
             p_bcast in 0.1f64..0.9,
+            size_class in 0u8..4,
         ) {
             let core = core.min(c) as usize;
-            let net = build_network(
-                &topology(kind, n),
-                &ChannelModel::SharedCore { c: c as usize, core },
-                seed.wrapping_mul(0x9E37) ^ kind as u64,
-            );
+            let channels = ChannelModel::SharedCore { c: c as usize, core };
+            let net_seed = seed.wrapping_mul(0x9E37) ^ kind as u64;
+            // One case in four runs above the pooling size, on a sparse
+            // random graph of average degree 2 to 6.
+            let pooled = size_class == 0;
+            let net = if pooled {
+                let n = BIG_N + n;
+                let p = f64::from(2 + kind) / (n as f64 - 1.0);
+                let topology = Topology::SparseErdosRenyi { n, p };
+                Network::generate_with_stats(&topology, &channels, net_seed, StatsMode::Approximate)
+                    .expect("big network must build")
+            } else {
+                build_network(&topology(kind, n), &channels, net_seed)
+            };
             let c = net.channels_per_node() as u16;
-            let slots = 48;
-            // Ground truth: scalar act path, sequential auto resolver.
+            let slots = if pooled { 24 } else { 48 };
+            // Ground truth: scalar act path, one-chunk auto resolver.
             let (ref_counters, ref_traces) =
                 run_scalar(&net, Resolver::Auto, seed, c, p_bcast, slots);
-            // Batched act path on the same sequential engine.
+            // Batched act path on the same engine.
             let (counters, traces) = run(&net, Resolver::Auto, seed, c, p_bcast, slots);
             prop_assert_eq!(counters, ref_counters, "batched act diverges on counters");
             prop_assert_eq!(&traces, &ref_traces, "batched act diverges on traces");
-            // Sharded engines, pooled phase-1 collection off and on.
-            for threads in [2usize, 4, 8] {
-                for phase1_min in [usize::MAX, 0] {
-                    let (counters, traces) = run_phase1(
-                        &net,
-                        Resolver::ParallelSharded { threads },
-                        seed,
-                        c,
-                        p_bcast,
-                        slots,
-                        phase1_min,
-                    );
+            if pooled {
+                for threads in POOLED_THREADS {
+                    let resolver = Resolver::ParallelSharded { threads };
+                    let (counters, traces) = run(&net, resolver, seed, c, p_bcast, slots);
                     prop_assert_eq!(
                         counters, ref_counters,
-                        "threads={} phase1_min={} diverges on counters",
-                        threads, phase1_min
+                        "threads={} diverges on counters", threads
                     );
                     prop_assert_eq!(
                         &traces, &ref_traces,
-                        "threads={} phase1_min={} diverges on feedback traces",
-                        threads, phase1_min
+                        "threads={} diverges on feedback traces", threads
                     );
                 }
             }

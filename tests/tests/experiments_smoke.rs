@@ -90,7 +90,7 @@ fn spectrum_experiment_produces_tables() {
 
 #[test]
 fn registry_covers_design_doc() {
-    // DESIGN.md §5 lists E1–E11, A1–A3, plus the extensions A3b, R1, and
-    // the spectrum-churn family E12.
+    // The README's "The experiment suite" table lists E1–E11, A1–A3, plus
+    // the extensions A3b, R1, and the spectrum-churn family E12.
     assert_eq!(ALL_EXPERIMENTS.len(), 17);
 }

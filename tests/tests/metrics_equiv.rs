@@ -7,8 +7,9 @@
 //! file enforces the promise the same way `engine_equiv.rs` enforces
 //! resolver equivalence — twin engines, timers on vs off, stepped in
 //! lockstep with counters compared after every slot and full traces
-//! compared at the end, across all resolvers × thread counts {1, 2, 4} ×
-//! pooled phase-1/phase-3 on and off, with and without spectrum dynamics.
+//! compared at the end, across all resolvers on one chunk and at thread
+//! counts {2, 4} above the engine's 2048-node pooling size, with and
+//! without spectrum dynamics.
 //!
 //! The second half is a proptest over the `crn_sim::metrics` histogram:
 //! across arbitrary insert sequences, the per-bucket counts must always
@@ -21,7 +22,8 @@ use crn_sim::engine::Resolver;
 use crn_sim::metrics::{Histogram, HISTOGRAM_BUCKETS};
 use crn_sim::topology::Topology;
 use crn_sim::{
-    Action, Engine, Feedback, LocalChannel, Network, Protocol, SlotCtx, SpectrumDynamics,
+    Action, Engine, Feedback, LocalChannel, Network, PhaseTimings, Protocol, SlotCtx,
+    SpectrumDynamics, StatsMode,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -79,22 +81,18 @@ impl Protocol for Chatter {
 }
 
 /// Builds one engine of the twin pair. `timed` is the only difference.
-fn build_engine<'a>(
-    net: &'a Network,
+fn build_engine(
+    net: &Network,
     resolver: Resolver,
     c: u16,
-    p1_min: usize,
-    p3_min: usize,
     spectrum: bool,
     timed: bool,
-) -> Engine<'a, Chatter> {
+) -> Engine<'_, Chatter> {
     let mut eng = Engine::with_resolver(net, 99, resolver, |ctx| Chatter {
         c,
         id: ctx.id.0,
         trace: Vec::new(),
     });
-    eng.set_phase1_pool_min_nodes(p1_min);
-    eng.set_phase3_pool_min_nodes(p3_min);
     if spectrum {
         eng.set_spectrum(SpectrumDynamics::MarkovOnOff { p_busy: 0.2, p_free: 0.3 });
     }
@@ -105,26 +103,25 @@ fn build_engine<'a>(
 /// The core differential: timers-on vs timers-off twins in lockstep.
 /// Counters must agree after *every* slot (a divergence is caught at the
 /// slot it happens, not at the end), traces must agree bit-for-bit at the
-/// end, and the timed engine must actually have measured something.
+/// end, and the timed engine must actually have measured something, which
+/// is returned.
 fn assert_timing_invisible(
     net: &Network,
     resolver: Resolver,
     c: u16,
-    p1_min: usize,
-    p3_min: usize,
     spectrum: bool,
     slots: u64,
-) {
-    let mut plain = build_engine(net, resolver, c, p1_min, p3_min, spectrum, false);
-    let mut timed = build_engine(net, resolver, c, p1_min, p3_min, spectrum, true);
+) -> PhaseTimings {
+    let n = net.len();
+    let mut plain = build_engine(net, resolver, c, spectrum, false);
+    let mut timed = build_engine(net, resolver, c, spectrum, true);
     for slot in 0..slots {
         plain.step();
         timed.step();
         assert_eq!(
             plain.counters(),
             timed.counters(),
-            "{resolver:?} p1_min={p1_min} p3_min={p3_min} spectrum={spectrum}: \
-             counters diverge at slot {slot}"
+            "n={n} {resolver:?} spectrum={spectrum}: counters diverge at slot {slot}"
         );
     }
     assert_eq!(plain.phase_timings(), None, "timing off must record nothing");
@@ -135,17 +132,18 @@ fn assert_timing_invisible(
     let timed_traces = timed.into_outputs();
     assert_eq!(
         plain_traces, timed_traces,
-        "{resolver:?} p1_min={p1_min} p3_min={p3_min} spectrum={spectrum}: traces diverge"
+        "n={n} {resolver:?} spectrum={spectrum}: traces diverge"
     );
     assert!(
         plain_traces.iter().any(|t| t.iter().any(|o| matches!(o, Obs::Heard(_)))),
         "scenario never delivers — not probing anything"
     );
+    pt
 }
 
-/// All resolvers × sharded thread counts {1, 2, 4} × pooled phase-1 and
-/// phase-3 forced on/off × spectrum on/off. Pool thresholds only matter on
-/// sharded engines, so the sequential resolvers run the default config.
+/// All resolvers on one chunk (n = 120) and the sharded engine at threads
+/// {2, 4} on every phase split (n = 2053, above the pooling size) × spectrum
+/// on/off.
 #[test]
 fn phase_timers_are_observationally_invisible() {
     let n = 120usize;
@@ -153,20 +151,24 @@ fn phase_timers_are_observationally_invisible() {
     let channels = ChannelModel::Identical { c: 3 };
     let net = Network::generate(&topology, &channels, 23).expect("network must build");
     let c = net.channels_per_node() as u16;
-    let slots = 48;
 
-    let sequential =
-        [Resolver::Naive, Resolver::Auto, Resolver::BroadcasterCentric, Resolver::ListenerCentric];
+    let big_n = 2053usize;
+    let topology = Topology::SparseErdosRenyi { n: big_n, p: 8.0 / (big_n as f64 - 1.0) };
+    let big = Network::generate_with_stats(&topology, &channels, 23, StatsMode::Approximate)
+        .expect("network must build");
+
     for spectrum in [false, true] {
-        for resolver in sequential {
-            assert_timing_invisible(&net, resolver, c, usize::MAX, usize::MAX, spectrum, slots);
+        for resolver in [Resolver::Naive, Resolver::Auto, Resolver::ParallelSharded { threads: 1 }]
+        {
+            let pt = assert_timing_invisible(&net, resolver, c, spectrum, 48);
+            assert_eq!(pt.collect_pooled_slots + pt.deliver_pooled_slots, 0, "{resolver:?}");
         }
-        for threads in [1usize, 2, 4] {
+        for threads in [2usize, 4] {
+            let slots = 16;
             let resolver = Resolver::ParallelSharded { threads };
-            // (phase-1 pooled, phase-3 pooled): off/off, on/off, on/on.
-            for (p1_min, p3_min) in [(usize::MAX, usize::MAX), (0, usize::MAX), (0, 0)] {
-                assert_timing_invisible(&net, resolver, c, p1_min, p3_min, spectrum, slots);
-            }
+            let pt = assert_timing_invisible(&big, resolver, c, spectrum, slots);
+            assert_eq!(pt.collect_pooled_slots, slots, "threads={threads}: every slot splits");
+            assert_eq!(pt.deliver_pooled_slots, slots, "threads={threads}: every slot splits");
         }
     }
 }
@@ -181,8 +183,8 @@ fn toggling_timers_mid_run_is_invisible_and_reenabling_zeroes() {
     let net = Network::generate(&topology, &channels, 5).expect("network must build");
     let c = net.channels_per_node() as u16;
 
-    let mut plain = build_engine(&net, Resolver::Auto, c, usize::MAX, usize::MAX, false, false);
-    let mut toggled = build_engine(&net, Resolver::Auto, c, usize::MAX, usize::MAX, false, false);
+    let mut plain = build_engine(&net, Resolver::Auto, c, false, false);
+    let mut toggled = build_engine(&net, Resolver::Auto, c, false, false);
     for phase in 0..4u64 {
         // Timers on for phases 1 and 3, off for 0 and 2.
         toggled.set_phase_timing(phase % 2 == 1);

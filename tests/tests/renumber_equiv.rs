@@ -8,8 +8,9 @@
 //! only, never of the internal label permutation. This file proves it
 //! differentially: [`Renumbering::Identity`] (the unrenumbered engine) vs
 //! [`Renumbering::DegreeSorted`] vs adversarial [`Renumbering::Custom`]
-//! permutations, under every resolver × thread counts {1, 2, 4}, plus a
-//! proptest over random permutations.
+//! permutations, under every resolver, on one chunk and — above the
+//! engine's 2048-node pooling size — at threads {2, 4}, plus a proptest
+//! over random permutations.
 //!
 //! The memory regression pins the other half of the tentpole: building a
 //! sparse n = 10⁵ network must stay O(n + m) — no dense per-node adjacency
@@ -104,18 +105,14 @@ fn random_perm(n: usize, key: u64) -> Vec<u32> {
     perm
 }
 
-const ALL_RESOLVERS: [Resolver; 7] = [
-    Resolver::Auto,
-    Resolver::BroadcasterCentric,
-    Resolver::ListenerCentric,
-    Resolver::Naive,
-    Resolver::ParallelSharded { threads: 1 },
-    Resolver::ParallelSharded { threads: 2 },
-    Resolver::ParallelSharded { threads: 4 },
-];
+/// Every resolver as it runs on these small networks: below the pooling
+/// size a sharded engine runs the one-chunk `Auto` path at any thread
+/// count.
+const ALL_RESOLVERS: [Resolver; 3] =
+    [Resolver::Auto, Resolver::Naive, Resolver::ParallelSharded { threads: 1 }];
 
-/// The headline differential from the issue: internal renumbering is
-/// bit-invisible under **every** resolver × thread count, on degree-skewed
+/// The headline differential: internal renumbering is bit-invisible
+/// under **every** resolver, on degree-skewed
 /// and uniform topologies alike. `Identity` is the unrenumbered reference;
 /// `DegreeSorted` is what production engines run; the reversal and a
 /// pseudo-random shuffle are adversarial `Custom` labelings.
@@ -160,42 +157,36 @@ fn renumbering_is_bit_invisible_across_all_resolvers() {
     }
 }
 
-/// Renumbering must also be invisible to the phase-1 autotuner and the
-/// pooled collection path: pin the pooled threshold both ways on a sharded
-/// engine and compare against the unrenumbered sequential reference.
+/// Renumbering must also be invisible to multi-chunk collection, sharded
+/// resolution and multi-chunk delivery: on a network above the pooling
+/// size (n = 2053, prime, so the chunks are ragged), sharded engines under
+/// degree-sorted and random internal labelings must match the
+/// unrenumbered naive reference.
 #[test]
 fn renumbering_is_invisible_with_pooled_collection_pinned() {
-    let net = Network::generate(
-        &Topology::ErdosRenyi { n: 48, p: 0.15 },
+    let n = 2053usize;
+    let net = Network::generate_with_stats(
+        &Topology::SparseErdosRenyi { n, p: 8.0 / (n as f64 - 1.0) },
         &ChannelModel::SharedCore { c: 4, core: 2 },
         77,
+        StatsMode::Approximate,
     )
     .unwrap();
-    let c = net.channels_per_node() as u16;
-    let make = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
-    let (ref_counters, ref_traces) = run(&net, Resolver::Naive, Renumbering::Identity, 21, 0.5, 64);
+    let slots = 32;
+    let (ref_counters, ref_traces) =
+        run(&net, Resolver::Naive, Renumbering::Identity, 21, 0.5, slots);
+    assert!(ref_counters.deliveries > 0, "scenario never delivers — not probing anything");
 
+    let labelings = [
+        ("degree-sorted", Renumbering::DegreeSorted),
+        ("random", Renumbering::Custom(random_perm(n, 5))),
+    ];
     for threads in [2usize, 4] {
-        for phase1_min in [0usize, usize::MAX] {
-            let mut eng = Engine::with_renumbering(
-                &net,
-                21,
-                Resolver::ParallelSharded { threads },
-                Renumbering::DegreeSorted,
-                make,
-            );
-            eng.set_phase1_pool_min_nodes(phase1_min);
-            eng.run_to_completion(64);
-            assert_eq!(
-                eng.counters(),
-                ref_counters,
-                "threads={threads} phase1_min={phase1_min}: counters diverge"
-            );
-            assert_eq!(
-                eng.into_outputs(),
-                ref_traces,
-                "threads={threads} phase1_min={phase1_min}: traces diverge"
-            );
+        for (name, renum) in labelings.clone() {
+            let resolver = Resolver::ParallelSharded { threads };
+            let (counters, traces) = run(&net, resolver, renum, 21, 0.5, slots);
+            assert_eq!(counters, ref_counters, "threads={threads} {name}: counters diverge");
+            assert_eq!(traces, ref_traces, "threads={threads} {name}: traces diverge");
         }
     }
 }
@@ -255,9 +246,9 @@ fn huge_sparse_1e5_builds_linear_and_runs() {
     assert!(eng.counters().deliveries > 0, "a 10⁵-node run must deliver something");
 }
 
-/// Property over random permutations (issue satellite): for arbitrary
-/// topologies and seeds, an engine renumbered by a random permutation is
-/// bit-identical to the unrenumbered engine at thread counts {1, 2, 4}.
+/// Property over random permutations: for arbitrary topologies and seeds,
+/// an engine renumbered by a random permutation is bit-identical to the
+/// unrenumbered engine.
 mod permutation_property {
     use super::*;
     use proptest::prelude::*;
@@ -290,27 +281,13 @@ mod permutation_property {
             )
             .unwrap();
             let perm = random_perm(net.len(), perm_key);
-            for threads in [1usize, 2, 4] {
-                let resolver = Resolver::ParallelSharded { threads };
-                let (ref_counters, ref_traces) =
-                    run(&net, resolver, Renumbering::Identity, seed, p_bcast, 32);
-                let (counters, traces) = run(
-                    &net,
-                    resolver,
-                    Renumbering::Custom(perm.clone()),
-                    seed,
-                    p_bcast,
-                    32,
-                );
-                prop_assert_eq!(
-                    counters, ref_counters,
-                    "threads={} perm {:x}: counters diverge", threads, perm_key
-                );
-                prop_assert_eq!(
-                    &traces, &ref_traces,
-                    "threads={} perm {:x}: traces diverge", threads, perm_key
-                );
-            }
+            let resolver = Resolver::ParallelSharded { threads: 1 };
+            let (ref_counters, ref_traces) =
+                run(&net, resolver, Renumbering::Identity, seed, p_bcast, 32);
+            let (counters, traces) =
+                run(&net, resolver, Renumbering::Custom(perm), seed, p_bcast, 32);
+            prop_assert_eq!(counters, ref_counters, "perm {:x}: counters diverge", perm_key);
+            prop_assert_eq!(&traces, &ref_traces, "perm {:x}: traces diverge", perm_key);
         }
     }
 }
