@@ -165,10 +165,6 @@ fn write_family(out: &mut String, name: &str, help: &str, value: &MetricValue) {
             writeln!(out, "# TYPE {name} counter").unwrap();
             writeln!(out, "{name} {v}").unwrap();
         }
-        MetricValue::Gauge(v) => {
-            writeln!(out, "# TYPE {name} gauge").unwrap();
-            writeln!(out, "{name} {v}").unwrap();
-        }
         MetricValue::Histogram { buckets, count, sum } => {
             writeln!(out, "# TYPE {name} histogram").unwrap();
             let mut cumulative = 0u64;

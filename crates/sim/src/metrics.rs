@@ -1,8 +1,8 @@
-//! Hand-rolled process metrics: counters, gauges, and log-scale
-//! histograms behind a cheap registry.
+//! Hand-rolled process metrics: counters and log-scale histograms behind
+//! a cheap registry.
 //!
 //! The build environment is offline, so there is no `prometheus` or
-//! `tracing` crate to lean on — this module owns the three instrument
+//! `tracing` crate to lean on — this module owns the two instrument
 //! shapes the workspace needs, the same way `crn-server` owns its own
 //! HTTP parser and JSON codec. Design constraints, in order:
 //!
@@ -51,48 +51,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// The current value.
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A value that can go up and down (queue depths, in-flight work).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Sets the value.
-    pub fn set(&self, v: u64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n`, saturating at zero (a decrement racing a `set(0)`
-    /// must not wrap to 2^64).
-    pub fn sub(&self, n: u64) {
-        let mut cur = self.value.load(Ordering::Relaxed);
-        loop {
-            let next = cur.saturating_sub(n);
-            match self.value.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
     }
 
     /// The current value.
@@ -182,8 +140,6 @@ impl Histogram {
 pub enum MetricValue {
     /// Counter value.
     Counter(u64),
-    /// Gauge value.
-    Gauge(u64),
     /// Histogram state: per-bucket counts (overflow last), total count,
     /// and sample sum.
     Histogram {
@@ -210,7 +166,6 @@ pub struct MetricFamily {
 
 enum Instrument {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -274,23 +229,6 @@ impl Registry {
         )
     }
 
-    /// The gauge named `name`, registering it with `help` on first use.
-    /// Panics if `name` is already registered as a different kind.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        self.get_or_insert(
-            name,
-            help,
-            |i| match i {
-                Instrument::Gauge(g) => Some(g),
-                _ => None,
-            },
-            || {
-                let g = Arc::new(Gauge::new());
-                (g.clone(), Instrument::Gauge(g))
-            },
-        )
-    }
-
     /// The histogram named `name`, registering it with `help` on first
     /// use. Panics if `name` is already registered as a different kind.
     pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
@@ -319,7 +257,6 @@ impl Registry {
                 help: e.help.clone(),
                 value: match &e.instrument {
                     Instrument::Counter(c) => MetricValue::Counter(c.get()),
-                    Instrument::Gauge(g) => MetricValue::Gauge(g.get()),
                     Instrument::Histogram(h) => MetricValue::Histogram {
                         buckets: h.bucket_counts(),
                         count: h.count(),
@@ -338,19 +275,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_basics() {
+    fn counter_basics() {
         let c = Counter::new();
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-
-        let g = Gauge::new();
-        g.set(7);
-        g.sub(3);
-        g.add(1);
-        assert_eq!(g.get(), 5);
-        g.sub(100);
-        assert_eq!(g.get(), 0, "sub saturates");
     }
 
     #[test]
@@ -379,12 +308,12 @@ mod tests {
         a.inc();
         b.inc();
         assert_eq!(a.get(), 2, "same name shares one instrument");
-        r.gauge("aa_first", "first").set(9);
+        r.counter("aa_first", "first").add(9);
         r.histogram("mm_mid", "mid").observe(3);
         let snap = r.snapshot();
         let names: Vec<&str> = snap.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["aa_first", "mm_mid", "zz_last"]);
-        assert_eq!(snap[0].value, MetricValue::Gauge(9));
+        assert_eq!(snap[0].value, MetricValue::Counter(9));
         assert_eq!(snap[2].value, MetricValue::Counter(2));
     }
 
@@ -393,6 +322,6 @@ mod tests {
     fn kind_mismatch_panics() {
         let r = Registry::new();
         r.counter("dual", "as counter");
-        r.gauge("dual", "as gauge");
+        r.histogram("dual", "as histogram");
     }
 }

@@ -30,6 +30,10 @@
 //!   both are strictly read-only with respect to results and journal
 //!   bytes.
 //!
+//! Every trial sweep of the experiment suite runs on this layer as a
+//! registered campaign kind ([`crate::experiments::campaigns`]), in
+//! memory for the `experiments` binary and journaled for the server.
+//!
 //! # Determinism of resume
 //!
 //! Unit outputs are a pure function of `(arm, trial)`: every trial derives

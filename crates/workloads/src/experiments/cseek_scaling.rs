@@ -7,12 +7,17 @@
 //! * E3 sweeps `k` at fixed `c` (expected slope ≈ −1);
 //! * E4 sweeps `Δ` on crowded stars (the `Δ` term dominates; expected
 //!   slope ≈ 1).
+//!
+//! Each runs as a campaign kind (see [`super::campaigns`]): one arm per
+//! swept value, one unit per trial.
 
+use super::campaigns::{arm_cell, discovery_trial, ArmCells, Sweep};
 use super::ExpConfig;
-use crate::runner::{discovery_trials, summarize_trials};
-use crate::scenario::Scenario;
+use crate::campaign::{ArmSpec, CampaignReport, CampaignSpec};
+use crate::runner::{summarize_trials, Trial};
+use crate::scenario::{Built, Scenario};
 use crate::table::{fmt_f, fmt_opt, Table};
-use crn_core::params::SeekParams;
+use crn_core::params::{SeekParams, SeekSchedule};
 use crn_core::seek::CSeek;
 use crn_sim::channels::ChannelModel;
 use crn_sim::stats::{fit_linear, fit_loglog};
@@ -28,14 +33,38 @@ pub(super) fn e2_cs(cfg: &ExpConfig) -> &'static [usize] {
     }
 }
 
-/// The E2 scenario at one sweep point (ring size follows quick mode) —
-/// shared by the table builder, the campaign port and the
-/// confidence-interval tests, so all measure exactly the same runs.
+/// The swept `k` values of E3.
+fn e3_ks(cfg: &ExpConfig) -> &'static [usize] {
+    if cfg.quick {
+        &[1, 4]
+    } else {
+        &[1, 2, 3, 4, 6, 8]
+    }
+}
+
+/// The swept `Δ` values of E4.
+fn e4_deltas(cfg: &ExpConfig) -> &'static [usize] {
+    if cfg.quick {
+        &[8, 16]
+    } else {
+        &[8, 16, 32, 64, 128]
+    }
+}
+
+/// The ring size of E2 and E3.
+fn ring_n(quick: bool) -> usize {
+    if quick {
+        12
+    } else {
+        24
+    }
+}
+
+/// The E2 scenario at one sweep point (ring size follows quick mode).
 pub(super) fn e2_scenario(quick: bool, c: usize, seed: u64) -> Scenario {
-    let n = if quick { 12 } else { 24 };
     Scenario::new(
         format!("e2-c{c}"),
-        Topology::Cycle { n },
+        Topology::Cycle { n: ring_n(quick) },
         ChannelModel::SharedCore { c, core: 2 },
         seed,
     )
@@ -43,199 +72,240 @@ pub(super) fn e2_scenario(quick: bool, c: usize, seed: u64) -> Scenario {
 
 /// The E3 scenario at one sweep point; see [`e2_scenario`].
 fn e3_scenario(quick: bool, k: usize, seed: u64) -> Scenario {
-    let n = if quick { 12 } else { 24 };
     Scenario::new(
         format!("e3-k{k}"),
-        Topology::Cycle { n },
+        Topology::Cycle { n: ring_n(quick) },
         ChannelModel::SharedCore { c: 12, core: k },
         seed,
     )
 }
 
-fn measure(scn: &Scenario, trials: usize, seed: u64) -> (Option<f64>, f64, u64) {
-    let built = scn.build().expect("scenario builds");
-    let sched = SeekParams::default().schedule(&built.model);
-    let results = discovery_trials(
-        &built.net,
-        |ctx| CSeek::new(ctx.id, sched, false),
-        trials,
+/// The E4 scenario at one sweep point: a crowded star (every leaf shares
+/// one hot + one cold channel with the hub).
+///
+/// Approximate stats: the largest sweep point is a 129-node star and
+/// this experiment reads only the schedule parameters (n, c, Δ, k, kmax),
+/// never `stats().diameter` — so the exact all-source-BFS diameter is
+/// pure setup cost (results are bit-identical, see
+/// `approximate_stats_build_same_network_same_model`).
+fn e4_scenario(delta: usize, seed: u64) -> Scenario {
+    Scenario::new(
+        format!("e4-d{delta}"),
+        Topology::Star { leaves: delta },
+        ChannelModel::CrowdedSplit { c: 4, k: 2, hot: 1, k_hot: 1 },
         seed,
-        sched.total_slots(),
-    );
-    let (mean, frac) = summarize_trials(&results);
-    (mean, frac, sched.total_slots())
-}
-
-/// Builds the E2 table from a finished campaign report (one arm per
-/// swept `c`, as laid out by [`super::campaigns::e2_spec`]).
-pub(super) fn e2_table(cfg: &ExpConfig, report: &crate::campaign::CampaignReport) -> Table {
-    let mut t = Table::new(
-        "E2 (Thm 4): CSEEK completion time vs c  (ring, k = kmax = 2, Δ = 2)",
-        &["c", "mean slots", "success", "slots/c^2", "schedule slots"],
-    );
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for (a, &c) in e2_cs(cfg).iter().enumerate() {
-        let built = e2_scenario(cfg.quick, c, cfg.seed).build().expect("scenario builds");
-        let sched = SeekParams::default().schedule(&built.model).total_slots();
-        let (mean, frac) = summarize_trials(&report.done_outputs(a));
-        if let Some(m) = mean {
-            xs.push(c as f64);
-            ys.push(m);
-            t.push_row(vec![
-                c.to_string(),
-                fmt_f(m),
-                fmt_f(frac),
-                fmt_f(m / (c * c) as f64),
-                sched.to_string(),
-            ]);
-        } else {
-            t.push_row(vec![c.to_string(), "—".into(), fmt_f(frac), "—".into(), sched.to_string()]);
-        }
-    }
-    if xs.len() >= 2 {
-        let fit = fit_loglog(&xs, &ys);
-        t.push_note(format!(
-            "log-log slope of slots vs c: {:.2} (paper predicts ≈ 2 from the c²/k term; R² = {:.3})",
-            fit.slope, fit.r2
-        ));
-    }
-    t
-}
-
-/// E2: completion time vs `c` (ring topology, `k = 2` core). Runs as an
-/// in-memory campaign (no journal, no faults) — the resumable variant is
-/// [`super::campaigns::run_e2`] — with unit outputs bit-identical to the
-/// plain [`discovery_trials`] path.
-pub fn e2_vs_c(cfg: &ExpConfig) -> Table {
-    let report = super::campaigns::run_e2(
-        cfg,
-        super::campaigns::default_threads(cfg),
-        None,
-        &crate::campaign::FaultPlan::none(),
     )
-    .expect("in-memory campaign cannot fail on journal I/O");
-    e2_table(cfg, &report)
+    .with_stats(StatsMode::Approximate)
+}
+
+/// A Theorem-4 sweep: per swept value `x`, one CSEEK arena and its default
+/// schedule. Trial `t` of every arm runs at seed `(cfg.seed ^ salt) + t`.
+pub(super) struct SeekSweep {
+    cfg: ExpConfig,
+    salt: u64,
+    xs: &'static [usize],
+    points: Vec<(Built, SeekSchedule)>,
+}
+
+impl SeekSweep {
+    fn new(
+        cfg: &ExpConfig,
+        salt: u64,
+        xs: &'static [usize],
+        scenario: impl Fn(usize) -> Scenario,
+    ) -> SeekSweep {
+        let points = xs
+            .iter()
+            .map(|&x| {
+                let built = scenario(x).build().expect("scenario builds");
+                let sched = SeekParams::default().schedule(&built.model);
+                (built, sched)
+            })
+            .collect();
+        SeekSweep { cfg: *cfg, salt, xs, points }
+    }
+
+    fn trial<'s>(&'s self, cells: &mut ArmCells<'s, CSeek>, arm: usize, trial: usize) -> Trial {
+        let (built, sched) = &self.points[arm];
+        discovery_trial(
+            arm_cell(cells, arm),
+            &built.net,
+            |ctx| CSeek::new(ctx.id, *sched, false),
+            (self.cfg.seed ^ self.salt).wrapping_add(trial as u64),
+            sched.total_slots(),
+        )
+    }
+
+    /// One row per swept value — `x`, mean slots, success, the mean
+    /// normalized by `norm(mean, x)`, schedule slots — and, given at least
+    /// two arms that succeeded, the note `fit` writes from their
+    /// `(x, mean)` points.
+    fn table(
+        &self,
+        report: &CampaignReport,
+        title: &str,
+        columns: &[&str],
+        norm: fn(f64, f64) -> f64,
+        fit: fn(&[f64], &[f64]) -> String,
+    ) -> Vec<Table> {
+        let mut t = Table::new(title, columns);
+        let (mut xs, mut ys) = (Vec::new(), Vec::new());
+        for (a, (&x, (_, sched))) in self.xs.iter().zip(&self.points).enumerate() {
+            let (mean, frac) = summarize_trials(&report.done_outputs(a));
+            if let Some(m) = mean {
+                xs.push(x as f64);
+                ys.push(m);
+            }
+            t.push_row(vec![
+                x.to_string(),
+                fmt_opt(mean),
+                fmt_f(frac),
+                mean.map_or("—".into(), |m| fmt_f(norm(m, x as f64))),
+                sched.total_slots().to_string(),
+            ]);
+        }
+        if xs.len() >= 2 {
+            t.push_note(fit(&xs, &ys));
+        }
+        vec![t]
+    }
+}
+
+/// E2: completion time vs `c` (ring topology, `k = 2` core).
+pub(super) struct E2(SeekSweep);
+
+impl Sweep for E2 {
+    type Cells<'s> = ArmCells<'s, CSeek>;
+
+    fn spec(cfg: &ExpConfig) -> CampaignSpec {
+        let arms =
+            e2_cs(cfg).iter().map(|c| ArmSpec::new(format!("c={c}"), cfg.trials())).collect();
+        CampaignSpec::new("e2-cseek-vs-c", arms, cfg.seed)
+    }
+
+    fn setup(cfg: &ExpConfig) -> Self {
+        E2(SeekSweep::new(cfg, 0xE2, e2_cs(cfg), |c| e2_scenario(cfg.quick, c, cfg.seed)))
+    }
+
+    fn trial<'s>(&'s self, cells: &mut Self::Cells<'s>, arm: usize, trial: usize) -> Trial {
+        self.0.trial(cells, arm, trial)
+    }
+
+    fn tables(&self, report: &CampaignReport) -> Vec<Table> {
+        self.0.table(
+            report,
+            "E2 (Thm 4): CSEEK completion time vs c  (ring, k = kmax = 2, Δ = 2)",
+            &["c", "mean slots", "success", "slots/c^2", "schedule slots"],
+            |m, c| m / (c * c),
+            |xs, ys| {
+                let fit = fit_loglog(xs, ys);
+                format!(
+                    "log-log slope of slots vs c: {:.2} (paper predicts ≈ 2 from the c²/k term; R² = {:.3})",
+                    fit.slope, fit.r2
+                )
+            },
+        )
+    }
 }
 
 /// E3: completion time vs `k` (ring topology, fixed `c = 12`).
-pub fn e3_vs_k(cfg: &ExpConfig) -> Table {
-    let ks: &[usize] = if cfg.quick { &[1, 4] } else { &[1, 2, 3, 4, 6, 8] };
-    let mut t = Table::new(
-        "E3 (Thm 4): CSEEK completion time vs k  (ring, c = 12, Δ = 2)",
-        &["k", "mean slots", "success", "slots*k", "schedule slots"],
-    );
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for &k in ks {
-        let scn = e3_scenario(cfg.quick, k, cfg.seed);
-        let (mean, frac, sched) = measure(&scn, cfg.trials(), cfg.seed ^ 0xE3);
-        if let Some(m) = mean {
-            xs.push(k as f64);
-            ys.push(m);
-            t.push_row(vec![
-                k.to_string(),
-                fmt_f(m),
-                fmt_f(frac),
-                fmt_f(m * k as f64),
-                sched.to_string(),
-            ]);
-        } else {
-            t.push_row(vec![k.to_string(), "—".into(), fmt_f(frac), "—".into(), sched.to_string()]);
-        }
+pub(super) struct E3(SeekSweep);
+
+impl Sweep for E3 {
+    type Cells<'s> = ArmCells<'s, CSeek>;
+
+    fn spec(cfg: &ExpConfig) -> CampaignSpec {
+        let n = ring_n(cfg.quick);
+        let arms =
+            e3_ks(cfg).iter().map(|k| ArmSpec::new(format!("k={k} n={n}"), cfg.trials())).collect();
+        CampaignSpec::new("e3-cseek-vs-k", arms, cfg.seed)
     }
-    if xs.len() >= 2 {
-        let fit = fit_loglog(&xs, &ys);
-        t.push_note(format!(
-            "log-log slope of slots vs k: {:.2} (paper predicts ≈ −1 from the c²/k term; R² = {:.3})",
-            fit.slope, fit.r2
-        ));
+
+    fn setup(cfg: &ExpConfig) -> Self {
+        E3(SeekSweep::new(cfg, 0xE3, e3_ks(cfg), |k| e3_scenario(cfg.quick, k, cfg.seed)))
     }
-    t
+
+    fn trial<'s>(&'s self, cells: &mut Self::Cells<'s>, arm: usize, trial: usize) -> Trial {
+        self.0.trial(cells, arm, trial)
+    }
+
+    fn tables(&self, report: &CampaignReport) -> Vec<Table> {
+        self.0.table(
+            report,
+            "E3 (Thm 4): CSEEK completion time vs k  (ring, c = 12, Δ = 2)",
+            &["k", "mean slots", "success", "slots*k", "schedule slots"],
+            |m, k| m * k,
+            |xs, ys| {
+                let fit = fit_loglog(xs, ys);
+                format!(
+                    "log-log slope of slots vs k: {:.2} (paper predicts ≈ −1 from the c²/k term; R² = {:.3})",
+                    fit.slope, fit.r2
+                )
+            },
+        )
+    }
 }
 
 /// E4: completion time vs `Δ` (crowded stars: every leaf shares one hot +
 /// one cold channel with the hub).
-pub fn e4_vs_delta(cfg: &ExpConfig) -> Table {
-    let deltas: &[usize] = if cfg.quick { &[8, 16] } else { &[8, 16, 32, 64, 128] };
-    let c = 4;
-    let mut t = Table::new(
-        "E4 (Thm 4): CSEEK completion time vs Δ  (crowded star, c = 4, k = 2)",
-        &["Δ", "mean slots", "success", "slots/Δ", "schedule slots"],
-    );
-    let mut xs = Vec::new();
-    let mut ys = Vec::new();
-    for &delta in deltas {
-        // Approximate stats: the largest sweep point is a 129-node star and
-        // this experiment reads only the schedule parameters (n, c, Δ, k,
-        // kmax), never `stats().diameter` — so the exact all-source-BFS
-        // diameter is pure setup cost (results are bit-identical, see
-        // `approximate_stats_build_same_network_same_model`).
-        let scn = Scenario::new(
-            format!("e4-d{delta}"),
-            Topology::Star { leaves: delta },
-            ChannelModel::CrowdedSplit { c, k: 2, hot: 1, k_hot: 1 },
-            cfg.seed,
-        )
-        .with_stats(StatsMode::Approximate);
-        let (mean, frac, sched) = measure(&scn, cfg.trials(), cfg.seed ^ 0xE4);
-        if let Some(m) = mean {
-            xs.push(delta as f64);
-            ys.push(m);
-            t.push_row(vec![
-                delta.to_string(),
-                fmt_f(m),
-                fmt_f(frac),
-                fmt_f(m / delta as f64),
-                sched.to_string(),
-            ]);
-        } else {
-            t.push_row(vec![
-                delta.to_string(),
-                fmt_opt(mean),
-                fmt_f(frac),
-                "—".into(),
-                sched.to_string(),
-            ]);
-        }
+pub(super) struct E4(SeekSweep);
+
+impl Sweep for E4 {
+    type Cells<'s> = ArmCells<'s, CSeek>;
+
+    fn spec(cfg: &ExpConfig) -> CampaignSpec {
+        let arms = e4_deltas(cfg)
+            .iter()
+            .map(|d| ArmSpec::new(format!("delta={d}"), cfg.trials()))
+            .collect();
+        CampaignSpec::new("e4-cseek-vs-delta", arms, cfg.seed)
     }
-    if xs.len() >= 2 {
-        // Theorem 4 is an *additive* bound c²/k + (kmax/k)·Δ, so the right
-        // model is linear-with-intercept: the intercept absorbs the
-        // Δ-independent sampling prefix, the slope is the per-neighbor cost.
-        let lin = fit_linear(&xs, &ys);
-        let ll = fit_loglog(&xs, &ys);
-        t.push_note(format!(
-            "linear fit: slots ≈ {:.0} + {:.1}·Δ (R² = {:.3}) — the intercept is \
+
+    fn setup(cfg: &ExpConfig) -> Self {
+        E4(SeekSweep::new(cfg, 0xE4, e4_deltas(cfg), |d| e4_scenario(d, cfg.seed)))
+    }
+
+    fn trial<'s>(&'s self, cells: &mut Self::Cells<'s>, arm: usize, trial: usize) -> Trial {
+        self.0.trial(cells, arm, trial)
+    }
+
+    fn tables(&self, report: &CampaignReport) -> Vec<Table> {
+        self.0.table(
+            report,
+            "E4 (Thm 4): CSEEK completion time vs Δ  (crowded star, c = 4, k = 2)",
+            &["Δ", "mean slots", "success", "slots/Δ", "schedule slots"],
+            |m, delta| m / delta,
+            // Theorem 4 is an *additive* bound c²/k + (kmax/k)·Δ, so the right
+            // model is linear-with-intercept: the intercept absorbs the
+            // Δ-independent sampling prefix, the slope is the per-neighbor cost.
+            |xs, ys| {
+                let (lin, ll) = (fit_linear(xs, ys), fit_loglog(xs, ys));
+                format!(
+                    "linear fit: slots ≈ {:.0} + {:.1}·Δ (R² = {:.3}) — the intercept is \
 the c²/k sampling prefix, the slope the (kmax/k) per-neighbor cost. (Raw \
 log-log slope {:.2} < 1 reflects that mixture, approaching 1 as Δ grows.)",
-            lin.intercept, lin.slope, lin.r2, ll.slope
-        ));
+                    lin.intercept, lin.slope, lin.r2, ll.slope
+                )
+            },
+        )
     }
-    t
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::campaigns::arm_trials;
     use super::*;
+    use crate::experiments::run_experiment;
     use crn_sim::stats::mean_ci95;
 
-    /// Completion-time samples of the successful trials at one scenario
-    /// point — the raw data behind one row of E2/E3.
-    fn completion_samples(scn: &Scenario, trials: usize, seed: u64) -> Vec<f64> {
-        let built = scn.build().expect("scenario builds");
-        let sched = SeekParams::default().schedule(&built.model);
-        discovery_trials(
-            &built.net,
-            |ctx| CSeek::new(ctx.id, sched, false),
-            trials,
-            seed,
-            sched.total_slots(),
-        )
-        .iter()
-        .filter_map(|t| t.completed_at)
-        .map(|t| t as f64)
-        .collect()
+    /// Completion-time samples of one arm's successful trials — the raw
+    /// data behind one row of E2/E3.
+    fn completion_samples<K: Sweep>(sweep: &K, arm: usize, trials: usize) -> Vec<f64> {
+        arm_trials(sweep, arm, trials)
+            .iter()
+            .filter_map(|t| t.completed_at)
+            .map(|t| t as f64)
+            .collect()
     }
 
     fn mean(xs: &[f64]) -> f64 {
@@ -253,10 +323,6 @@ mod tests {
         (((m2 - h2) / (m1 + h1)).log2() / octaves, ((m2 + h2) / (m1 - h1)).log2() / octaves)
     }
 
-    fn e2_point(c: usize, trials: usize, seed: u64) -> Vec<f64> {
-        completion_samples(&e2_scenario(true, c, seed), trials, seed ^ 0xE2)
-    }
-
     #[test]
     fn e2_quick_slope_ci_is_positive_and_spans_quadratic() {
         // The quick-mode sweep points are c ∈ {4, 8} — one octave, so the
@@ -265,8 +331,9 @@ mod tests {
         // interval must sit above zero (growth with c is significant), and
         // the interval must intersect the generous quadratic band (1, 3)
         // Theorem 4's c²/k term predicts.
-        let lo = e2_point(4, 8, 5);
-        let hi = e2_point(8, 8, 5);
+        let sweep = E2::setup(&ExpConfig { quick: true, trials: 8, seed: 5 });
+        let lo = completion_samples(&sweep, 0, 8);
+        let hi = completion_samples(&sweep, 1, 8);
         let (s_lo, s_hi) = slope_ci(&lo, &hi, 1.0);
         assert!(s_lo > 0.0, "slope CI [{s_lo:.2}, {s_hi:.2}] not significantly positive");
         assert!(s_hi > 1.0 && s_lo < 3.0, "slope CI [{s_lo:.2}, {s_hi:.2}] excludes ≈2");
@@ -276,10 +343,9 @@ mod tests {
     fn e3_quick_slope_ci_is_negative() {
         // Quick-mode points k ∈ {1, 4} are two octaves apart; the c²/k term
         // predicts slope ≈ −1. The upper end of the CI must stay below zero.
-        let point = |k: usize, trials: usize| {
-            completion_samples(&e3_scenario(true, k, 5), trials, 5 ^ 0xE3)
-        };
-        let (s_lo, s_hi) = slope_ci(&point(1, 6), &point(4, 6), 2.0);
+        let sweep = E3::setup(&ExpConfig { quick: true, trials: 6, seed: 5 });
+        let (s_lo, s_hi) =
+            slope_ci(&completion_samples(&sweep, 0, 6), &completion_samples(&sweep, 1, 6), 2.0);
         assert!(s_hi < 0.0, "slope CI [{s_lo:.2}, {s_hi:.2}] not significantly negative");
     }
 
@@ -299,9 +365,9 @@ mod tests {
                 .parse()
                 .unwrap()
         };
-        let quick = e2_vs_c(&ExpConfig { quick: true, trials: 4, seed: 5 });
-        let full = e2_vs_c(&ExpConfig { quick: false, trials: 2, seed: 5 });
-        let (qs, fs) = (parse_slope(&quick), parse_slope(&full));
+        let quick = run_experiment("e2", &ExpConfig { quick: true, trials: 4, seed: 5 });
+        let full = run_experiment("e2", &ExpConfig { quick: false, trials: 2, seed: 5 });
+        let (qs, fs) = (parse_slope(&quick[0]), parse_slope(&full[0]));
         assert!(
             qs > 0.0 && fs > 0.0,
             "quick ({qs:.2}) and full ({fs:.2}) modes must agree: slots grow with c"

@@ -2,129 +2,195 @@
 //! setup (discovery + coloring) is a `D`-independent prefix; the naive
 //! broadcast costs `Õ((c²/k)·D)` per run. Comparing the two fitted lines
 //! locates the crossover diameter beyond which CGCAST wins.
+//!
+//! E8 runs as a campaign kind (see [`super::campaigns`]): a CGCAST and a
+//! naive-broadcast arm per diameter, one unit per trial.
 
+use super::campaigns::{all_informed, arm_cell, ArmCells, Sweep};
 use super::ExpConfig;
-use crate::runner::{cgcast_trials, naive_broadcast_trials, summarize_trials};
-use crate::scenario::Scenario;
+use crate::campaign::{ArmSpec, CampaignReport, CampaignSpec};
+use crate::runner::{summarize_trials, Trial, TrialOpts};
+use crate::scenario::{Built, Scenario};
 use crate::table::{fmt_f, fmt_opt, Table};
 use crn_core::baselines::NaiveBroadcast;
-use crn_core::params::GcastParams;
+use crn_core::cgcast::CGCast;
+use crn_core::params::{GcastParams, GcastSchedule};
 use crn_sim::channels::ChannelModel;
 use crn_sim::stats::fit_linear;
 use crn_sim::topology::Topology;
+use crn_sim::NodeId;
 
-/// E8: CGCAST vs naive broadcast across path diameters.
-pub fn e8_gcast_vs_naive(cfg: &ExpConfig) -> Vec<Table> {
-    let diameters: &[usize] = if cfg.quick { &[3, 6] } else { &[4, 8, 16, 32] };
-    let c = 8;
-    let core = 1;
-    let mut t = Table::new(
-        "E8 (Thm 9): global broadcast on paths — CGCAST vs naive (c = 8, k = 1, Δ = 2)",
-        &["D", "CGCAST total", "CGCAST setup", "CGCAST dissem", "CGCAST ok", "naive", "naive ok"],
-    );
-    let mut ds = Vec::new();
-    let mut dissems = Vec::new();
-    let mut naives = Vec::new();
-    for &d in diameters {
-        let scn = Scenario::new(
-            format!("e8-d{d}"),
-            Topology::Path { n: d + 1 },
-            ChannelModel::SharedCore { c, core },
-            cfg.seed,
-        );
-        let built = scn.build().expect("scenario builds");
-        let params = GcastParams { dissemination_phases: d as u64, ..Default::default() };
-        let sched = params.schedule(&built.model);
-        let setup = sched.total_slots() - sched.dissemination_slots();
-        let trials = cgcast_trials(&built.net, sched, cfg.trials(), cfg.seed ^ 0xE8);
-        let (mean, frac) = summarize_trials(&trials);
-        let dissem = mean.map(|m| (m - setup as f64).max(0.0));
+/// The swept path diameters.
+fn e8_diameters(cfg: &ExpConfig) -> &'static [usize] {
+    if cfg.quick {
+        &[3, 6]
+    } else {
+        &[4, 8, 16, 32]
+    }
+}
 
-        let naive_slots = NaiveBroadcast::schedule_slots(&built.model, d as u64, 8.0);
-        let ntrials = naive_broadcast_trials(
-            &built.net,
-            c as u16,
-            naive_slots,
-            cfg.trials(),
-            cfg.seed ^ 0xE8,
-        );
-        let (nmean, nfrac) = summarize_trials(&ntrials);
+const C: usize = 8;
 
-        if let (Some(di), Some(nm)) = (dissem, nmean) {
-            ds.push(d as f64);
-            dissems.push(di);
-            naives.push(nm);
-        }
-        t.push_row(vec![
-            d.to_string(),
-            fmt_opt(mean),
-            setup.to_string(),
-            fmt_opt(dissem),
-            fmt_f(frac),
-            fmt_opt(nmean),
-            fmt_f(nfrac),
-        ]);
+/// The broadcast payload node 0 starts with.
+const PAYLOAD: u64 = 0xBEEF;
+
+/// E8: CGCAST vs naive broadcast across path diameters. Arms: `[CGCAST,
+/// naive]` per diameter `D`; trial `t` of both runs at seed
+/// `(cfg.seed ^ 0xE8) + t`.
+pub(super) struct E8 {
+    cfg: ExpConfig,
+    /// Per diameter: the path, CGCAST's schedule and naive's slot budget.
+    points: Vec<(Built, GcastSchedule, u64)>,
+}
+
+impl Sweep for E8 {
+    type Cells<'s> = (ArmCells<'s, CGCast>, ArmCells<'s, NaiveBroadcast>);
+
+    fn spec(cfg: &ExpConfig) -> CampaignSpec {
+        let arms = e8_diameters(cfg)
+            .iter()
+            .flat_map(|d| {
+                ["cgcast", "naive"].map(|algo| ArmSpec::new(format!("{algo} D={d}"), cfg.trials()))
+            })
+            .collect();
+        CampaignSpec::new("e8-gcast-vs-naive", arms, cfg.seed)
     }
 
-    let mut fit_table = Table::new(
-        "E8b: fitted per-hop costs and projected crossover",
-        &["model", "slots per hop (slope)", "intercept (setup)", "R²"],
-    );
-    if ds.len() >= 2 {
-        let gfit = fit_linear(&ds, &dissems);
-        let nfit = fit_linear(&ds, &naives);
-        fit_table.push_row(vec![
-            "CGCAST dissemination".into(),
-            fmt_f(gfit.slope),
-            fmt_f(gfit.intercept),
-            fmt_f(gfit.r2),
-        ]);
-        fit_table.push_row(vec![
-            "naive broadcast".into(),
-            fmt_f(nfit.slope),
-            fmt_f(nfit.intercept),
-            fmt_f(nfit.r2),
-        ]);
-        // Setup from the largest-D run (a mild overestimate for smaller D:
-        // it grows only logarithmically with n).
-        let last_setup = {
-            let d = *diameters.last().unwrap();
-            let scn = Scenario::new(
-                "e8-setup",
-                Topology::Path { n: d + 1 },
-                ChannelModel::SharedCore { c, core },
-                cfg.seed,
-            );
-            let built = scn.build().unwrap();
-            let params = GcastParams { dissemination_phases: d as u64, ..Default::default() };
-            let sched = params.schedule(&built.model);
-            (sched.total_slots() - sched.dissemination_slots()) as f64
-        };
-        if nfit.slope > gfit.slope {
-            let crossover = last_setup / (nfit.slope - gfit.slope);
-            fit_table.push_note(format!(
-                "Projected crossover: CGCAST (setup ≈ {last_setup:.0} + {:.1}·D) beats naive \
-                 ({:.1}·D) for D ≳ {:.0}. Paper: CGCAST wins once D·Δ ≪ (c²/k)·D, i.e. \
-                 whenever Δ ≪ c²/k and D is large enough to amortize the setup.",
-                gfit.slope, nfit.slope, crossover
-            ));
+    fn setup(cfg: &ExpConfig) -> Self {
+        let points = e8_diameters(cfg)
+            .iter()
+            .map(|&d| {
+                let scn = Scenario::new(
+                    format!("e8-d{d}"),
+                    Topology::Path { n: d + 1 },
+                    ChannelModel::SharedCore { c: C, core: 1 },
+                    cfg.seed,
+                );
+                let built = scn.build().expect("scenario builds");
+                let params = GcastParams { dissemination_phases: d as u64, ..Default::default() };
+                let sched = params.schedule(&built.model);
+                let naive_slots = NaiveBroadcast::schedule_slots(&built.model, d as u64, 8.0);
+                (built, sched, naive_slots)
+            })
+            .collect();
+        E8 { cfg: *cfg, points }
+    }
+
+    fn trial<'s>(&'s self, cells: &mut Self::Cells<'s>, arm: usize, trial: usize) -> Trial {
+        let (built, sched, naive_slots) = &self.points[arm / 2];
+        let seed = (self.cfg.seed ^ 0xE8).wrapping_add(trial as u64);
+        let source = |id: NodeId| (id == NodeId(0)).then_some(PAYLOAD);
+        let opts = TrialOpts::default();
+        if arm.is_multiple_of(2) {
+            arm_cell(&mut cells.0, arm).run_trial(
+                &built.net,
+                |ctx| CGCast::new(ctx.id, *sched, source(ctx.id)),
+                seed,
+                sched.total_slots(),
+                &opts,
+                |_s, e| all_informed(e, CGCast::is_informed),
+            )
         } else {
-            fit_table.push_note(
-                "Naive per-hop cost did not exceed CGCAST per-hop cost at these parameters \
-                 (Δ too large relative to c²/k).",
-            );
+            arm_cell(&mut cells.1, arm).run_trial(
+                &built.net,
+                |ctx| NaiveBroadcast::new(ctx.id, C as u16, *naive_slots, source(ctx.id)),
+                seed,
+                *naive_slots,
+                &opts,
+                |_s, e| all_informed(e, NaiveBroadcast::is_informed),
+            )
         }
     }
-    vec![t, fit_table]
+
+    fn tables(&self, report: &CampaignReport) -> Vec<Table> {
+        let mut t = Table::new(
+            "E8 (Thm 9): global broadcast on paths — CGCAST vs naive (c = 8, k = 1, Δ = 2)",
+            &[
+                "D",
+                "CGCAST total",
+                "CGCAST setup",
+                "CGCAST dissem",
+                "CGCAST ok",
+                "naive",
+                "naive ok",
+            ],
+        );
+        let setup_of = |s: &GcastSchedule| s.total_slots() - s.dissemination_slots();
+        let mut ds = Vec::new();
+        let mut dissems = Vec::new();
+        let mut naives = Vec::new();
+        for (p, (&d, (_, sched, _))) in e8_diameters(&self.cfg).iter().zip(&self.points).enumerate()
+        {
+            let setup = setup_of(sched);
+            let (mean, frac) = summarize_trials(&report.done_outputs(2 * p));
+            let dissem = mean.map(|m| (m - setup as f64).max(0.0));
+            let (nmean, nfrac) = summarize_trials(&report.done_outputs(2 * p + 1));
+
+            if let (Some(di), Some(nm)) = (dissem, nmean) {
+                ds.push(d as f64);
+                dissems.push(di);
+                naives.push(nm);
+            }
+            t.push_row(vec![
+                d.to_string(),
+                fmt_opt(mean),
+                setup.to_string(),
+                fmt_opt(dissem),
+                fmt_f(frac),
+                fmt_opt(nmean),
+                fmt_f(nfrac),
+            ]);
+        }
+
+        let mut fit_table = Table::new(
+            "E8b: fitted per-hop costs and projected crossover",
+            &["model", "slots per hop (slope)", "intercept (setup)", "R²"],
+        );
+        if ds.len() >= 2 {
+            let gfit = fit_linear(&ds, &dissems);
+            let nfit = fit_linear(&ds, &naives);
+            fit_table.push_row(vec![
+                "CGCAST dissemination".into(),
+                fmt_f(gfit.slope),
+                fmt_f(gfit.intercept),
+                fmt_f(gfit.r2),
+            ]);
+            fit_table.push_row(vec![
+                "naive broadcast".into(),
+                fmt_f(nfit.slope),
+                fmt_f(nfit.intercept),
+                fmt_f(nfit.r2),
+            ]);
+            // Setup from the largest-D run (a mild overestimate for smaller
+            // D: it grows only logarithmically with n).
+            let last_setup = setup_of(&self.points.last().unwrap().1) as f64;
+            if nfit.slope > gfit.slope {
+                let crossover = last_setup / (nfit.slope - gfit.slope);
+                fit_table.push_note(format!(
+                    "Projected crossover: CGCAST (setup ≈ {last_setup:.0} + {:.1}·D) beats naive \
+                     ({:.1}·D) for D ≳ {:.0}. Paper: CGCAST wins once D·Δ ≪ (c²/k)·D, i.e. \
+                     whenever Δ ≪ c²/k and D is large enough to amortize the setup.",
+                    gfit.slope, nfit.slope, crossover
+                ));
+            } else {
+                fit_table.push_note(
+                    "Naive per-hop cost did not exceed CGCAST per-hop cost at these parameters \
+                     (Δ too large relative to c²/k).",
+                );
+            }
+        }
+        vec![t, fit_table]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_experiment;
 
     #[test]
     fn e8_quick_produces_both_tables() {
-        let tables = e8_gcast_vs_naive(&ExpConfig { quick: true, trials: 1, seed: 8 });
+        let tables = run_experiment("e8", &ExpConfig { quick: true, trials: 1, seed: 8 });
         assert_eq!(tables.len(), 2);
         assert_eq!(tables[0].rows.len(), 2);
         // CGCAST should succeed on these small paths.

@@ -2,8 +2,11 @@
 //! "The experiment suite" section).
 //!
 //! Every experiment is a pure function from an [`ExpConfig`] to one or more
-//! [`Table`]s, so the `experiments` binary, the integration tests and the
-//! criterion benches all share one implementation.
+//! [`Table`]s, so the `experiments` binary and the integration tests share
+//! one implementation. Each experiment whose units are trials is a
+//! campaign kind (see [`campaigns`]): [`run_experiment`] runs it in memory
+//! and renders its tables, and the campaign server runs the same kind
+//! journaled.
 //!
 //! The paper is a theory paper — its "evaluation" is a set of theorems, so
 //! each experiment here regenerates the *shape* a theorem claims (slopes of
@@ -64,36 +67,32 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 
 /// Runs one experiment by id. Returns its result tables.
 ///
+/// Ids whose units are [`crate::runner::Trial`]s run their campaign kind
+/// (see [`campaigns::REGISTRY`]) in memory and render its tables; `e12`
+/// renders both the `e12` and the `e12b` kind. The rest are direct
+/// computations.
+///
 /// # Panics
 /// Panics on an unknown id (the caller validates against
 /// [`ALL_EXPERIMENTS`]).
 pub fn run_experiment(id: &str, cfg: &ExpConfig) -> Vec<Table> {
     match id {
         "e1" => vec![count::e1_count_accuracy(cfg)],
-        "e2" => vec![cseek_scaling::e2_vs_c(cfg)],
-        "e3" => vec![cseek_scaling::e3_vs_k(cfg)],
-        "e4" => vec![cseek_scaling::e4_vs_delta(cfg)],
-        "e5" => vec![compare::e5_discovery_comparison(cfg), compare::e5b_crowded_headline(cfg)],
-        "e6" => vec![kseek::e6_ckseek(cfg)],
         "e7" => vec![pure_coloring::e7_phases_vs_n(cfg)],
-        "e8" => gcast::e8_gcast_vs_naive(cfg),
-        "e9" => gcast_e9(cfg),
-        "e10" => vec![tree::e10_tree_lower_bound(cfg)],
+        "e9" => vec![game::e9_hitting_game(cfg), game::e9_reduction(cfg)],
         "e11" => vec![rendezvous::e11_rendezvous_gap(cfg)],
-        "e12" => {
-            vec![spectrum::e12_pu_churn(cfg), spectrum::e12b_churn_plus_jamming(cfg)]
-        }
-        "a1" => vec![ablation::a1_uniform_listener(cfg)],
+        "e12" => ["e12", "e12b"]
+            .iter()
+            .flat_map(|k| campaigns::run_tables(campaigns::find_kind(k).unwrap(), cfg))
+            .collect(),
         "a2" => vec![count::a2_round_length(cfg)],
         "a3" => vec![pure_coloring::a3_coloring_comparison(cfg)],
         "a3b" => vec![robustness::a3b_uncolored_dissemination(cfg)],
-        "r1" => vec![robustness::r1_jamming(cfg)],
-        other => panic!("unknown experiment id {other:?} (known: {ALL_EXPERIMENTS:?})"),
+        kind => match campaigns::find_kind(kind) {
+            Some(kind) => campaigns::run_tables(kind, cfg),
+            None => panic!("unknown experiment id {id:?} (known: {ALL_EXPERIMENTS:?})"),
+        },
     }
-}
-
-fn gcast_e9(cfg: &ExpConfig) -> Vec<Table> {
-    vec![game::e9_hitting_game(cfg), game::e9_reduction(cfg)]
 }
 
 #[cfg(test)]

@@ -5,120 +5,137 @@
 //! always-transmit jammers join the network and we measure how CSEEK's
 //! completion degrades as the jammed fraction of the spectrum grows —
 //! the heterogeneous channel structure is exactly what buys resilience:
-//! overlap `k` acts as redundancy against `j < k` jammed channels.
+//! overlap `k` acts as redundancy against `j < k` jammed channels. R1
+//! runs as a campaign kind (see [`super::campaigns`]): one arm per jammer
+//! count, one unit per trial.
 //!
 //! A3b — in-model coloring ablation: CGCAST vs the identical protocol with
 //! the coloring stage removed (random-meeting dissemination, equal step
 //! budget). Quantifies what the deterministic schedule buys on
 //! high-degree topologies.
 
+use super::campaigns::{arm_cell, honest_discovered, ArmCells, Sweep};
 use super::ExpConfig;
-use crate::runner::{summarize_trials, Trial, PROBE_EVERY};
-use crate::scenario::Scenario;
+use crate::campaign::{ArmSpec, CampaignReport, CampaignSpec};
+use crate::runner::{counter_mean, summarize_trials, Trial, TrialOpts};
+use crate::scenario::{Built, Scenario};
 use crate::table::{fmt_f, fmt_opt, Table};
-
-/// Minimal stand-in so the A3b body can keep using `built.net`.
-struct BuiltWrapper {
-    net: crn_sim::Network,
-}
 use crn_core::adversary::{JamStrategy, Jammer, NodeRole};
 use crn_core::cgcast::{CGCast, UncoloredGcast};
-use crn_core::params::{GcastParams, ModelInfo, SeekParams};
+use crn_core::params::{GcastParams, ModelInfo, SeekParams, SeekSchedule};
 use crn_core::seek::CSeek;
 use crn_sim::channels::ChannelModel;
 use crn_sim::topology::Topology;
-use crn_sim::{Engine, LocalChannel, NodeId};
+use crn_sim::{Engine, GlobalChannel, LocalChannel, Network, NodeId};
+
+/// R1's clique: honest node count and the swept jammer counts (quick mode
+/// shrinks both).
+fn r1_geometry(cfg: &ExpConfig) -> (usize, &'static [usize]) {
+    if cfg.quick {
+        (6, &[0, 2])
+    } else {
+        (10, &[0, 1, 2, 3, 4])
+    }
+}
+
+/// R1's shared core `k` and channels per node.
+const R1_CORE: usize = 4;
+const R1_C: usize = 8;
 
 /// R1: CSEEK completion under `j` fixed-channel jammers camped on the
-/// shared core of a clique.
-pub fn r1_jamming(cfg: &ExpConfig) -> Table {
-    let honest = if cfg.quick { 6 } else { 10 };
-    let core = 4;
-    let c = 8;
-    let jam_counts: &[usize] = if cfg.quick { &[0, 2] } else { &[0, 1, 2, 3, 4] };
-    let mut t = Table::new(
-        format!(
-            "R1 (extension): CSEEK under jamming — {honest} honest nodes, clique, c = {c}, shared core k = {core}"
-        ),
-        &["jammers (core channels hit)", "mean slots", "success", "deliveries", "collisions"],
-    );
-    for &j in jam_counts {
-        let n = honest + j;
-        let scn = Scenario::new(
-            format!("r1-j{j}"),
-            Topology::Complete { n },
-            ChannelModel::SharedCore { c, core },
-            cfg.seed,
-        );
-        let built = scn.build().expect("scenario builds");
-        // Honest nodes must still find each other; jammers are excluded
-        // from the ground truth (they never identify themselves honestly).
-        // The model parameters the honest nodes assume include the jammers
-        // (they are in-range transceivers).
-        let model = ModelInfo::from_stats(&built.net.stats());
-        let sched = SeekParams::default().schedule(&model);
-        let mut results = Vec::new();
-        for trial in 0..cfg.trials() {
-            let seed = cfg.seed ^ 0x21 ^ (trial as u64) << 16;
-            let mut eng = Engine::new(&built.net, seed, |ctx| {
+/// shared core of a clique. Trial `t` runs at seed
+/// `cfg.seed ^ 0x21 ^ (t << 16)`.
+pub(super) struct R1 {
+    cfg: ExpConfig,
+    honest: usize,
+    /// Per jammer count: the clique of honest nodes plus jammers, and the
+    /// honest nodes' schedule. The model parameters the honest nodes
+    /// assume include the jammers (they are in-range transceivers).
+    points: Vec<(Built, SeekSchedule)>,
+}
+
+impl Sweep for R1 {
+    type Cells<'s> = ArmCells<'s, NodeRole<CSeek>>;
+
+    fn spec(cfg: &ExpConfig) -> CampaignSpec {
+        let (honest, jams) = r1_geometry(cfg);
+        let arms = jams
+            .iter()
+            .map(|j| ArmSpec::new(format!("jammers={j} honest={honest}"), cfg.trials()))
+            .collect();
+        CampaignSpec::new("r1-jamming", arms, cfg.seed)
+    }
+
+    fn setup(cfg: &ExpConfig) -> Self {
+        let (honest, jams) = r1_geometry(cfg);
+        let points = jams
+            .iter()
+            .map(|&j| {
+                let scn = Scenario::new(
+                    format!("r1-j{j}"),
+                    Topology::Complete { n: honest + j },
+                    ChannelModel::SharedCore { c: R1_C, core: R1_CORE },
+                    cfg.seed,
+                );
+                let built = scn.build().expect("scenario builds");
+                let sched = SeekParams::default().schedule(&built.model);
+                (built, sched)
+            })
+            .collect();
+        R1 { cfg: *cfg, honest, points }
+    }
+
+    fn trial<'s>(&'s self, cells: &mut Self::Cells<'s>, arm: usize, trial: usize) -> Trial {
+        let (built, sched) = &self.points[arm];
+        let (net, honest) = (&built.net, self.honest);
+        arm_cell(cells, arm).run_trial(
+            net,
+            |ctx| {
                 if ctx.id.index() >= honest {
                     // Jammer i camps on core channel i (its local label for
                     // that global channel).
-                    let g = crn_sim::GlobalChannel((ctx.id.index() - honest) as u32 % core as u32);
-                    let l = built.net.global_to_local(ctx.id, g).unwrap_or(LocalChannel(0));
-                    NodeRole::Adversary(Jammer::new(c as u16, JamStrategy::Fixed(l), ctx.id))
+                    let g = GlobalChannel((ctx.id.index() - honest) as u32 % R1_CORE as u32);
+                    let l = net.global_to_local(ctx.id, g).unwrap_or(LocalChannel(0));
+                    NodeRole::Adversary(Jammer::new(R1_C as u16, JamStrategy::Fixed(l), ctx.id))
                 } else {
-                    NodeRole::Honest(CSeek::new(ctx.id, sched, false))
+                    NodeRole::Honest(CSeek::new(ctx.id, *sched, false))
                 }
-            });
-            let mut probe = |_s: u64, e: &Engine<'_, NodeRole<CSeek>>| {
-                let mut done = true;
-                e.for_each_protocol(|v, p| {
-                    if let Some(cs) = p.honest() {
-                        // Complete when every honest peer is discovered.
-                        let found = (0..honest)
-                            .filter(|&w| w != v.index())
-                            .filter(|&w| {
-                                crn_core::discovery::DiscoveryProtocol::has_discovered(
-                                    cs,
-                                    NodeId(w as u32),
-                                )
-                            })
-                            .count();
-                        done &= found == honest - 1;
-                    }
-                });
-                done
-            };
-            let outcome = eng.run(sched.total_slots(), Some((PROBE_EVERY, &mut probe)));
-            results.push(Trial {
-                seed,
-                completed_at: outcome.completed_at,
-                slots_run: outcome.slots_run,
-                counters: eng.counters(),
-            });
-        }
-        let (mean, frac) = summarize_trials(&results);
-        let deliveries: u64 =
-            results.iter().map(|r| r.counters.deliveries).sum::<u64>() / results.len() as u64;
-        let collisions: u64 =
-            results.iter().map(|r| r.counters.collisions).sum::<u64>() / results.len() as u64;
-        t.push_row(vec![
-            j.to_string(),
-            fmt_opt(mean),
-            fmt_f(frac),
-            deliveries.to_string(),
-            collisions.to_string(),
-        ]);
+            },
+            self.cfg.seed ^ 0x21 ^ ((trial as u64) << 16),
+            sched.total_slots(),
+            &TrialOpts::default(),
+            |_s, e| honest_discovered(e, honest),
+        )
     }
-    t.push_note(
-        "Each jammer permanently occupies one core channel. Discovery slows as \
-         the usable overlap shrinks from k to k − j, and fails within the fixed \
-         schedule once the residual overlap is far below the k the schedule was \
-         sized for — overlap (k > 1) is itself jamming redundancy, provided \
-         schedules are provisioned for the post-jamming overlap.",
-    );
-    t
+
+    fn tables(&self, report: &CampaignReport) -> Vec<Table> {
+        let (honest, jams) = r1_geometry(&self.cfg);
+        let mut t = Table::new(
+            format!(
+                "R1 (extension): CSEEK under jamming — {honest} honest nodes, clique, c = {R1_C}, shared core k = {R1_CORE}"
+            ),
+            &["jammers (core channels hit)", "mean slots", "success", "deliveries", "collisions"],
+        );
+        for (a, j) in jams.iter().enumerate() {
+            let results = report.done_outputs(a);
+            let (mean, frac) = summarize_trials(&results);
+            t.push_row(vec![
+                j.to_string(),
+                fmt_opt(mean),
+                fmt_f(frac),
+                counter_mean(&results, |c| c.deliveries).to_string(),
+                counter_mean(&results, |c| c.collisions).to_string(),
+            ]);
+        }
+        t.push_note(
+            "Each jammer permanently occupies one core channel. Discovery slows as \
+             the usable overlap shrinks from k to k − j, and fails within the fixed \
+             schedule once the residual overlap is far below the k the schedule was \
+             sized for — overlap (k > 1) is itself jamming redundancy, provided \
+             schedules are provisioned for the post-jamming overlap.",
+        );
+        vec![t]
+    }
 }
 
 /// Builds a dumbbell whose every edge overlaps on its *own distinct*
@@ -127,8 +144,7 @@ pub fn r1_jamming(cfg: &ExpConfig) -> Table {
 /// `c = legs + 1`). With per-edge channels there is no cross-edge
 /// overhearing, so dissemination really must coordinate per edge — the
 /// regime the Theorem 14 construction also uses.
-fn distinct_channel_dumbbell(legs: usize) -> crn_sim::Network {
-    use crn_sim::{GlobalChannel, Network};
+fn distinct_channel_dumbbell(legs: usize) -> Network {
     let c = legs + 1;
     let n = 2 * (legs + 1);
     let mut next = 0u32;
@@ -185,11 +201,10 @@ pub fn a3b_uncolored_dissemination(cfg: &ExpConfig) -> Table {
     let d = net.stats().diameter.expect("connected"); // 3
     let model = ModelInfo::from_stats(&net.stats());
     let sched = GcastParams { dissemination_phases: d, ..Default::default() }.schedule(&model);
-    let built = BuiltWrapper { net };
     let mut t = Table::new(
         format!(
             "A3b (ablation): colored vs random-meeting dissemination (distinct-channel dumbbell, Δ = {}, D = {d}, equal step budget)",
-            built.net.stats().delta
+            net.stats().delta
         ),
         &["dissemination", "informed fraction", "mean informed-at (slots into dissem)"],
     );
@@ -201,7 +216,7 @@ pub fn a3b_uncolored_dissemination(cfg: &ExpConfig) -> Table {
     let mut at_n = 0u64;
     let setup = sched.total_slots() - sched.dissemination_slots();
     for trial in 0..cfg.trials() {
-        let mut eng = Engine::new(&built.net, cfg.seed ^ 0x3B ^ (trial as u64) << 12, |ctx| {
+        let mut eng = Engine::new(&net, cfg.seed ^ 0x3B ^ (trial as u64) << 12, |ctx| {
             CGCast::new(ctx.id, sched, (ctx.id == NodeId(0)).then_some(5))
         });
         eng.run_to_completion(sched.total_slots());
@@ -231,7 +246,7 @@ pub fn a3b_uncolored_dissemination(cfg: &ExpConfig) -> Table {
     let mut at_n = 0u64;
     let uncolored_setup = 2 * sched.seek_slots();
     for trial in 0..cfg.trials() {
-        let mut eng = Engine::new(&built.net, cfg.seed ^ 0x3B ^ (trial as u64) << 12, |ctx| {
+        let mut eng = Engine::new(&net, cfg.seed ^ 0x3B ^ (trial as u64) << 12, |ctx| {
             UncoloredGcast::new(ctx.id, sched, (ctx.id == NodeId(0)).then_some(5))
         });
         eng.run_to_completion(u64::MAX);
@@ -267,17 +282,18 @@ pub fn a3b_uncolored_dissemination(cfg: &ExpConfig) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_experiment;
 
     #[test]
     fn r1_no_jammers_completes() {
-        let t = r1_jamming(&ExpConfig { quick: true, trials: 2, seed: 31 });
+        let t = &run_experiment("r1", &ExpConfig { quick: true, trials: 2, seed: 31 })[0];
         let frac0: f64 = t.rows[0][2].parse().unwrap();
         assert!(frac0 > 0.4, "jam-free arm should complete: {:?}", t.rows[0]);
     }
 
     #[test]
     fn r1_jamming_degrades_or_slows() {
-        let t = r1_jamming(&ExpConfig { quick: true, trials: 2, seed: 31 });
+        let t = &run_experiment("r1", &ExpConfig { quick: true, trials: 2, seed: 31 })[0];
         // With 2 of 4 core channels jammed, either success drops or the
         // mean completion time rises.
         let f0: f64 = t.rows[0][2].parse().unwrap();

@@ -10,21 +10,21 @@
 //! and E12b stacks PU churn on top of an in-network jammer — the
 //! worst-case "hostile spectrum" regime.
 //!
-//! Both sweeps run as [`crate::campaign`] campaigns (see
-//! [`super::campaigns`]): each `(primitive, duty)` point is an arm, each
-//! trial a unit, and the table builders below consume the campaign
-//! report. This module owns the physics — scenario setup, per-unit trial
-//! execution over a reusable [`EngineCell`], and table presentation.
+//! Both sweeps run as campaign kinds (see [`super::campaigns`]): each
+//! `(primitive, duty)` point is an arm, each trial a unit. This module
+//! owns the physics — scenario setup, per-unit trial execution over a
+//! reusable [`EngineCell`], and table presentation.
 
-use super::campaigns;
+use super::campaigns::{all_informed, honest_discovered, Sweep};
 use super::ExpConfig;
-use crate::campaign::FaultPlan;
-use crate::runner::{EngineCell, Trial, TrialOpts};
+use crate::campaign::{ArmSpec, CampaignReport, CampaignSpec};
+use crate::runner::{counter_mean, summarize_trials, EngineCell, Trial, TrialOpts};
 use crate::scenario::{Built, Scenario};
 use crate::table::{fmt_f, fmt_opt, Table};
 use crn_core::adversary::{JamStrategy, Jammer, NodeRole};
 use crn_core::cgcast::CGCast;
 use crn_core::count::{CountProtocol, Role};
+use crn_core::discovery::all_discovered;
 use crn_core::params::{
     CountParams, CountSchedule, GcastParams, GcastSchedule, ModelInfo, SeekParams, SeekSchedule,
 };
@@ -49,12 +49,12 @@ pub(super) fn duties(cfg: &ExpConfig) -> &'static [f64] {
 }
 
 /// The Markov on/off PU process at one swept duty cycle.
-pub(super) fn dynamics_at(duty: f64) -> SpectrumDynamics {
+fn dynamics_at(duty: f64) -> SpectrumDynamics {
     SpectrumDynamics::markov_with_duty(duty, MEAN_BUSY)
 }
 
 /// E12's sweep sizes: `(n_seek, n_gcast, m_count)`.
-pub(super) fn e12_sizes(cfg: &ExpConfig) -> (usize, usize, usize) {
+fn e12_sizes(cfg: &ExpConfig) -> (usize, usize, usize) {
     if cfg.quick {
         (6, 5, 8)
     } else {
@@ -62,130 +62,21 @@ pub(super) fn e12_sizes(cfg: &ExpConfig) -> (usize, usize, usize) {
     }
 }
 
-/// The CSEEK arena: a shared-core clique of `n` nodes.
-pub(super) fn cseek_setup(cfg: &ExpConfig, n: usize) -> (Built, SeekSchedule) {
+/// Channels per node and shared core of every E12/E12b clique.
+const C: usize = 6;
+const CORE: usize = 3;
+
+/// A shared-core clique of `n` nodes and its CSEEK schedule.
+fn seek_clique(n: usize, seed: u64) -> (Built, SeekSchedule) {
     let scn = Scenario::new(
-        "e12-cseek",
+        format!("e12-clique-n{n}"),
         Topology::Complete { n },
-        ChannelModel::SharedCore { c: 6, core: 3 },
-        cfg.seed,
+        ChannelModel::SharedCore { c: C, core: CORE },
+        seed,
     );
     let built = scn.build().expect("scenario builds");
     let sched = SeekParams::default().schedule(&built.model);
     (built, sched)
-}
-
-/// The CGCAST arena: a shared-core clique with diameter-sized phases.
-pub(super) fn cgcast_setup(cfg: &ExpConfig, n: usize) -> (Built, GcastSchedule) {
-    let scn = Scenario::new(
-        "e12-cgcast",
-        Topology::Complete { n },
-        ChannelModel::SharedCore { c: 6, core: 3 },
-        cfg.seed ^ 0x51,
-    );
-    let built = scn.build().expect("scenario builds");
-    let d = built.net.stats().diameter.expect("clique is connected");
-    let model = ModelInfo::from_stats(&built.net.stats());
-    let sched = GcastParams { dissemination_phases: d, ..Default::default() }.schedule(&model);
-    (built, sched)
-}
-
-/// The COUNT arena of E1: one listener adjacent to `m` broadcasters on one
-/// shared channel (plus private padding).
-pub(super) fn count_setup(m: usize) -> (Network, CountSchedule) {
-    let net = super::count::count_arena(m);
-    let model = ModelInfo { n: 256, c: 2, delta: 256, k: 1, kmax: 1 };
-    let sched = CountParams::default().schedule(&model);
-    (net, sched)
-}
-
-/// The E12b arena: `n` nodes total (honest + jammers) on a shared core.
-pub(super) fn e12b_setup(cfg: &ExpConfig, n: usize) -> (Built, SeekSchedule) {
-    let scn = Scenario::new(
-        format!("e12b-n{n}"),
-        Topology::Complete { n },
-        ChannelModel::SharedCore { c: E12B_C, core: 3 },
-        cfg.seed ^ 0xB0,
-    );
-    let built = scn.build().expect("scenario builds");
-    let sched = SeekParams::default().schedule(&built.model);
-    (built, sched)
-}
-
-/// Channels per node in the E12b arena.
-pub(super) const E12B_C: usize = 6;
-
-/// Per-trial engine seeds — one formula per arm family, all preserved
-/// from the original hand-rolled loops so results stay bit-identical.
-pub(super) fn cseek_seed(cfg: &ExpConfig, trial: usize) -> u64 {
-    cfg.seed ^ 0xE12 ^ ((trial as u64) << 16)
-}
-/// See [`cseek_seed`].
-pub(super) fn cgcast_seed(cfg: &ExpConfig, trial: usize) -> u64 {
-    cfg.seed ^ 0xE12B ^ ((trial as u64) << 16)
-}
-/// See [`cseek_seed`].
-pub(super) fn count_seed(cfg: &ExpConfig, trial: usize) -> u64 {
-    cfg.seed ^ 0xC0 ^ ((trial as u64) << 16)
-}
-/// See [`cseek_seed`].
-pub(super) fn e12b_seed(cfg: &ExpConfig, trial: usize) -> u64 {
-    cfg.seed ^ 0xB12 ^ ((trial as u64) << 16)
-}
-
-/// One CSEEK trial on `net` (success = every ordered pair discovered
-/// within the fixed schedule), over a reusable engine cell.
-pub(super) fn cseek_trial<'net>(
-    cell: &mut EngineCell<'net, CSeek>,
-    net: &'net Network,
-    sched: SeekSchedule,
-    n: usize,
-    seed: u64,
-    opts: &TrialOpts,
-) -> Trial {
-    cell.run_trial(
-        net,
-        |ctx| CSeek::new(ctx.id, sched, false),
-        seed,
-        sched.total_slots(),
-        opts,
-        |_s, e: &Engine<'_, CSeek>| {
-            let mut done = true;
-            e.for_each_protocol(|v, p| {
-                let found = (0..n)
-                    .filter(|&w| w != v.index())
-                    .filter(|&w| {
-                        crn_core::discovery::DiscoveryProtocol::has_discovered(p, NodeId(w as u32))
-                    })
-                    .count();
-                done &= found == n - 1;
-            });
-            done
-        },
-    )
-}
-
-/// One CGCAST trial from source node 0 (success = every node informed
-/// when the schedule ends), over a reusable engine cell.
-pub(super) fn cgcast_trial<'net>(
-    cell: &mut EngineCell<'net, CGCast>,
-    net: &'net Network,
-    sched: GcastSchedule,
-    seed: u64,
-    opts: &TrialOpts,
-) -> Trial {
-    cell.run_trial(
-        net,
-        |ctx| CGCast::new(ctx.id, sched, (ctx.id == NodeId(0)).then_some(5)),
-        seed,
-        sched.total_slots(),
-        opts,
-        |_s, e: &Engine<'_, CGCast>| {
-            let mut done = true;
-            e.for_each_protocol(|_, p| done &= p.is_informed());
-            done
-        },
-    )
 }
 
 /// One COUNT trial (success = listener estimate in `[m, 4m]`, Lemma 1's
@@ -193,7 +84,7 @@ pub(super) fn cgcast_trial<'net>(
 /// once all rounds have run, so the probe fires — if at all — at the
 /// run's closing probe evaluation; the slot columns are normalized to the
 /// schedule length, exactly as the pre-campaign arm reported them.
-pub(super) fn count_trial<'net>(
+fn count_trial<'net>(
     cell: &mut EngineCell<'net, CountProtocol>,
     net: &'net Network,
     sched: CountSchedule,
@@ -227,167 +118,257 @@ pub(super) fn count_trial<'net>(
     t
 }
 
-/// One E12b trial: CSEEK among `honest` nodes while the remaining nodes
-/// sweep-jam, over a reusable engine cell.
-pub(super) fn e12b_trial<'net>(
-    cell: &mut EngineCell<'net, NodeRole<CSeek>>,
-    net: &'net Network,
-    sched: SeekSchedule,
-    honest: usize,
-    seed: u64,
-    opts: &TrialOpts,
-) -> Trial {
-    cell.run_trial(
-        net,
-        |ctx| {
-            if ctx.id.index() >= honest {
-                NodeRole::Adversary(Jammer::new(E12B_C as u16, JamStrategy::Sweep, ctx.id))
-            } else {
-                NodeRole::Honest(CSeek::new(ctx.id, sched, false))
-            }
-        },
-        seed,
-        sched.total_slots(),
-        opts,
-        |_s, e: &Engine<'_, NodeRole<CSeek>>| {
-            let mut done = true;
-            e.for_each_protocol(|v, p| {
-                if let Some(cs) = p.honest() {
-                    let found = (0..honest)
-                        .filter(|&w| w != v.index())
-                        .filter(|&w| {
-                            crn_core::discovery::DiscoveryProtocol::has_discovered(
-                                cs,
-                                NodeId(w as u32),
-                            )
-                        })
-                        .count();
-                    done &= found == honest - 1;
-                }
-            });
-            done
-        },
-    )
-}
-
-/// Per-(primitive, duty) aggregates.
-struct Arm {
-    success: f64,
-    mean_slots: Option<f64>,
-    pu_blocked: u64,
-    collisions: u64,
-}
-
-fn summarize(results: &[Trial]) -> Arm {
-    let (mean_slots, success) = crate::runner::summarize_trials(results);
-    let n = results.len().max(1) as u64;
-    Arm {
-        success,
-        mean_slots,
-        pu_blocked: results.iter().map(|r| r.counters.pu_blocked_listens).sum::<u64>() / n,
-        collisions: results.iter().map(|r| r.counters.collisions).sum::<u64>() / n,
-    }
-}
-
-fn push_arm(t: &mut Table, primitive: &str, duty: f64, arm: Arm) {
-    t.push_row(vec![
-        primitive.to_string(),
-        fmt_f(duty),
-        fmt_f(arm.success),
-        fmt_opt(arm.mean_slots),
-        arm.pu_blocked.to_string(),
-        arm.collisions.to_string(),
-    ]);
-}
-
-/// Builds the E12 table from a finished campaign report (arm order:
-/// `[CSEEK, CGCAST, COUNT] × duty`, as laid out by
-/// [`campaigns::e12_spec`]).
-pub(super) fn e12_table(cfg: &ExpConfig, report: &crate::campaign::CampaignReport) -> Table {
-    let (_, _, m_count) = e12_sizes(cfg);
-    let mut t = Table::new(
-        format!(
-            "E12 (extension): primitives under primary-user churn — Markov on/off channels, \
-             mean busy sojourn {MEAN_BUSY} slots"
-        ),
-        &[
-            "primitive",
-            "PU duty cycle",
-            "success",
-            "mean slots to complete",
-            "PU-blocked listens/trial",
-            "collisions/trial",
-        ],
-    );
-    for (d, &duty) in duties(cfg).iter().enumerate() {
-        let outputs = |kind: usize| report.done_outputs(d * 3 + kind);
-        push_arm(&mut t, "CSEEK", duty, summarize(&outputs(0)));
-        push_arm(&mut t, "CGCAST", duty, summarize(&outputs(1)));
-        push_arm(&mut t, &format!("COUNT (m={m_count})"), duty, summarize(&outputs(2)));
-    }
-    t.push_note(
-        "Every channel is an on/off PU process; a busy channel swallows broadcasts and \
-         turns listens into noise. Schedules are sized for a clean spectrum, so success \
-         degrades and completion slides right as the duty cycle grows — channel-set \
-         redundancy (c > k) is what keeps the primitives alive at moderate churn.",
-    );
-    t
-}
-
-/// Builds the E12b table from a finished campaign report (arm order:
-/// `jammers ∈ {0, 1}` per duty, as laid out by [`campaigns::e12b_spec`]).
-pub(super) fn e12b_table(cfg: &ExpConfig, report: &crate::campaign::CampaignReport) -> Table {
-    let mut t = Table::new(
-        "E12b (extension): CSEEK under combined PU churn and sweep jamming".to_string(),
-        &["PU duty cycle", "jammers", "success", "mean slots to complete", "collisions/trial"],
-    );
-    for (d, &duty) in duties(cfg).iter().enumerate() {
-        for jammers in [0usize, 1] {
-            let results = report.done_outputs(d * 2 + jammers);
-            let (mean, frac) = crate::runner::summarize_trials(&results);
-            let collisions = results.iter().map(|r| r.counters.collisions).sum::<u64>()
-                / results.len().max(1) as u64;
-            t.push_row(vec![
-                fmt_f(duty),
-                jammers.to_string(),
-                fmt_f(frac),
-                fmt_opt(mean),
-                collisions.to_string(),
-            ]);
-        }
-    }
-    t.push_note(
-        "The jammer attacks from inside the network (always transmitting, sweeping local \
-         channels) while the PU process squeezes the spectrum underneath; the two compose — \
-         discovery that tolerates either alone can fail under both, which is the regime \
-         robustness provisioning must size for.",
-    );
-    t
+/// The Markov PU process at each swept duty cycle, as trial options.
+fn duty_opts(cfg: &ExpConfig) -> Vec<TrialOpts> {
+    duties(cfg).iter().map(|&d| TrialOpts::with_spectrum(dynamics_at(d))).collect()
 }
 
 /// E12: CSEEK / CGCAST / COUNT success and completion slots vs primary-user
-/// duty cycle (Markov on/off channels, mean busy sojourn 4 slots). Runs as
-/// an in-memory campaign (no journal, no faults) — the resumable variant
-/// is [`campaigns::run_e12`].
-pub fn e12_pu_churn(cfg: &ExpConfig) -> Table {
-    let report = campaigns::run_e12(cfg, campaigns::default_threads(cfg), None, &FaultPlan::none())
-        .expect("in-memory campaign cannot fail on journal I/O");
-    e12_table(cfg, &report)
+/// duty cycle (Markov on/off channels, mean busy sojourn 4 slots). Each
+/// worker holds one long-lived engine per primitive (three scenario
+/// networks), re-armed per unit.
+pub(super) struct E12 {
+    cfg: ExpConfig,
+    seek: (Built, SeekSchedule),
+    gcast: (Built, GcastSchedule),
+    count: (Network, CountSchedule),
+    /// Per swept duty.
+    opts: Vec<TrialOpts>,
+}
+
+impl Sweep for E12 {
+    type Cells<'s> = (EngineCell<'s, CSeek>, EngineCell<'s, CGCast>, EngineCell<'s, CountProtocol>);
+
+    /// Arms laid out `[CSEEK, CGCAST, COUNT]` per swept duty cycle,
+    /// `cfg.trials()` units each.
+    fn spec(cfg: &ExpConfig) -> CampaignSpec {
+        let (n_seek, n_gcast, m_count) = e12_sizes(cfg);
+        let arms = duties(cfg)
+            .iter()
+            .flat_map(|&duty| {
+                [
+                    ArmSpec::new(format!("cseek n={n_seek} duty={duty}"), cfg.trials()),
+                    ArmSpec::new(format!("cgcast n={n_gcast} duty={duty}"), cfg.trials()),
+                    ArmSpec::new(format!("count m={m_count} duty={duty}"), cfg.trials()),
+                ]
+            })
+            .collect();
+        CampaignSpec::new("e12-pu-churn", arms, cfg.seed)
+    }
+
+    fn setup(cfg: &ExpConfig) -> Self {
+        let (n_seek, n_gcast, m_count) = e12_sizes(cfg);
+        // The CGCAST arena: a shared-core clique with diameter-sized phases.
+        let gcast = Scenario::new(
+            "e12-cgcast",
+            Topology::Complete { n: n_gcast },
+            ChannelModel::SharedCore { c: C, core: CORE },
+            cfg.seed ^ 0x51,
+        )
+        .build()
+        .expect("scenario builds");
+        let d = gcast.net.stats().diameter.expect("clique is connected");
+        let model = ModelInfo::from_stats(&gcast.net.stats());
+        let gcast_sched =
+            GcastParams { dissemination_phases: d, ..Default::default() }.schedule(&model);
+        // The COUNT arena of E1: one listener adjacent to `m` broadcasters
+        // on one shared channel (plus private padding).
+        let count_model = ModelInfo { n: 256, c: 2, delta: 256, k: 1, kmax: 1 };
+        E12 {
+            cfg: *cfg,
+            seek: seek_clique(n_seek, cfg.seed),
+            gcast: (gcast, gcast_sched),
+            count: (
+                super::count::count_arena(m_count),
+                CountParams::default().schedule(&count_model),
+            ),
+            opts: duty_opts(cfg),
+        }
+    }
+
+    fn trial<'s>(&'s self, cells: &mut Self::Cells<'s>, arm: usize, trial: usize) -> Trial {
+        let o = &self.opts[arm / 3];
+        // One seed formula per primitive: E12's tables and journals are
+        // pure functions of them.
+        let seed = |salt: u64| self.cfg.seed ^ salt ^ ((trial as u64) << 16);
+        match arm % 3 {
+            0 => {
+                let (built, sched) = &self.seek;
+                cells.0.run_trial(
+                    &built.net,
+                    |ctx| CSeek::new(ctx.id, *sched, false),
+                    seed(0xE12),
+                    sched.total_slots(),
+                    o,
+                    |_s, e| all_discovered(&built.net, e),
+                )
+            }
+            1 => {
+                let (built, sched) = &self.gcast;
+                cells.1.run_trial(
+                    &built.net,
+                    |ctx| CGCast::new(ctx.id, *sched, (ctx.id == NodeId(0)).then_some(5)),
+                    seed(0xE12B),
+                    sched.total_slots(),
+                    o,
+                    |_s, e| all_informed(e, CGCast::is_informed),
+                )
+            }
+            _ => {
+                let m_count = e12_sizes(&self.cfg).2;
+                count_trial(&mut cells.2, &self.count.0, self.count.1, m_count, seed(0xC0), o)
+            }
+        }
+    }
+
+    fn tables(&self, report: &CampaignReport) -> Vec<Table> {
+        let cfg = &self.cfg;
+        let (_, _, m_count) = e12_sizes(cfg);
+        let mut t = Table::new(
+            format!(
+                "E12 (extension): primitives under primary-user churn — Markov on/off channels, \
+                 mean busy sojourn {MEAN_BUSY} slots"
+            ),
+            &[
+                "primitive",
+                "PU duty cycle",
+                "success",
+                "mean slots to complete",
+                "PU-blocked listens/trial",
+                "collisions/trial",
+            ],
+        );
+        let primitives = ["CSEEK".to_string(), "CGCAST".into(), format!("COUNT (m={m_count})")];
+        for (d, &duty) in duties(cfg).iter().enumerate() {
+            for (kind, primitive) in primitives.iter().enumerate() {
+                let results = report.done_outputs(d * 3 + kind);
+                let (mean, success) = summarize_trials(&results);
+                t.push_row(vec![
+                    primitive.clone(),
+                    fmt_f(duty),
+                    fmt_f(success),
+                    fmt_opt(mean),
+                    counter_mean(&results, |c| c.pu_blocked_listens).to_string(),
+                    counter_mean(&results, |c| c.collisions).to_string(),
+                ]);
+            }
+        }
+        t.push_note(
+            "Every channel is an on/off PU process; a busy channel swallows broadcasts and \
+             turns listens into noise. Schedules are sized for a clean spectrum, so success \
+             degrades and completion slides right as the duty cycle grows — channel-set \
+             redundancy (c > k) is what keeps the primitives alive at moderate churn.",
+        );
+        vec![t]
+    }
+}
+
+/// Honest-node count of the E12b arena.
+fn e12b_honest(cfg: &ExpConfig) -> usize {
+    if cfg.quick {
+        5
+    } else {
+        7
+    }
 }
 
 /// E12b: PU churn stacked on an in-network sweep jammer (the robustness
-/// worst case: hostile spectrum *and* a hostile node). Runs as an
-/// in-memory campaign; the resumable variant is [`campaigns::run_e12b`].
-pub fn e12b_churn_plus_jamming(cfg: &ExpConfig) -> Table {
-    let report =
-        campaigns::run_e12b(cfg, campaigns::default_threads(cfg), None, &FaultPlan::none())
-            .expect("in-memory campaign cannot fail on journal I/O");
-    e12b_table(cfg, &report)
+/// worst case: hostile spectrum *and* a hostile node). The two networks
+/// (without and with the jammer node) get one engine cell each per worker.
+pub(super) struct E12b {
+    cfg: ExpConfig,
+    /// Indexed by jammer count.
+    setups: [(Built, SeekSchedule); 2],
+    /// Per swept duty.
+    opts: Vec<TrialOpts>,
+}
+
+impl Sweep for E12b {
+    type Cells<'s> = [EngineCell<'s, NodeRole<CSeek>>; 2];
+
+    /// Arms laid out `jammers ∈ {0, 1}` per swept duty cycle,
+    /// `cfg.trials()` units each.
+    fn spec(cfg: &ExpConfig) -> CampaignSpec {
+        let honest = e12b_honest(cfg);
+        let arms = duties(cfg)
+            .iter()
+            .flat_map(|&duty| {
+                [0usize, 1].map(|jammers| {
+                    ArmSpec::new(
+                        format!("cseek honest={honest} jammers={jammers} duty={duty}"),
+                        cfg.trials(),
+                    )
+                })
+            })
+            .collect();
+        CampaignSpec::new("e12b-churn-plus-jamming", arms, cfg.seed)
+    }
+
+    fn setup(cfg: &ExpConfig) -> Self {
+        let honest = e12b_honest(cfg);
+        let seed = cfg.seed ^ 0xB0;
+        E12b {
+            cfg: *cfg,
+            setups: [seek_clique(honest, seed), seek_clique(honest + 1, seed)],
+            opts: duty_opts(cfg),
+        }
+    }
+
+    /// CSEEK among the honest nodes while the remaining node (if any)
+    /// sweep-jams.
+    fn trial<'s>(&'s self, cells: &mut Self::Cells<'s>, arm: usize, trial: usize) -> Trial {
+        let jammers = arm % 2;
+        let (built, sched) = &self.setups[jammers];
+        let honest = e12b_honest(&self.cfg);
+        cells[jammers].run_trial(
+            &built.net,
+            |ctx| {
+                if ctx.id.index() >= honest {
+                    NodeRole::Adversary(Jammer::new(C as u16, JamStrategy::Sweep, ctx.id))
+                } else {
+                    NodeRole::Honest(CSeek::new(ctx.id, *sched, false))
+                }
+            },
+            self.cfg.seed ^ 0xB12 ^ ((trial as u64) << 16),
+            sched.total_slots(),
+            &self.opts[arm / 2],
+            |_s, e| honest_discovered(e, honest),
+        )
+    }
+
+    fn tables(&self, report: &CampaignReport) -> Vec<Table> {
+        let cfg = &self.cfg;
+        let mut t = Table::new(
+            "E12b (extension): CSEEK under combined PU churn and sweep jamming".to_string(),
+            &["PU duty cycle", "jammers", "success", "mean slots to complete", "collisions/trial"],
+        );
+        for (d, &duty) in duties(cfg).iter().enumerate() {
+            for jammers in [0usize, 1] {
+                let results = report.done_outputs(d * 2 + jammers);
+                let (mean, frac) = summarize_trials(&results);
+                t.push_row(vec![
+                    fmt_f(duty),
+                    jammers.to_string(),
+                    fmt_f(frac),
+                    fmt_opt(mean),
+                    counter_mean(&results, |c| c.collisions).to_string(),
+                ]);
+            }
+        }
+        t.push_note(
+            "The jammer attacks from inside the network (always transmitting, sweeping local \
+             channels) while the PU process squeezes the spectrum underneath; the two compose — \
+             discovery that tolerates either alone can fail under both, which is the regime \
+             robustness provisioning must size for.",
+        );
+        vec![t]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::run_experiment;
 
     fn cfg() -> ExpConfig {
         ExpConfig { quick: true, trials: 2, seed: 31 }
@@ -395,7 +376,7 @@ mod tests {
 
     #[test]
     fn e12_clean_spectrum_arm_completes() {
-        let t = e12_pu_churn(&cfg());
+        let t = &run_experiment("e12", &cfg())[0];
         // Row 0 is CSEEK at duty 0: a clean clique must mostly succeed.
         assert_eq!(t.rows[0][0], "CSEEK");
         let frac: f64 = t.rows[0][2].parse().unwrap();
@@ -408,7 +389,7 @@ mod tests {
 
     #[test]
     fn e12_churn_bites() {
-        let t = e12_pu_churn(&cfg());
+        let t = &run_experiment("e12", &cfg())[0];
         // At the top duty (last CSEEK row) either success drops or PU
         // pressure is visibly non-zero.
         let first: f64 = t.rows[0][2].parse().unwrap();
@@ -421,7 +402,7 @@ mod tests {
 
     #[test]
     fn e12b_produces_all_arms() {
-        let t = e12b_churn_plus_jamming(&cfg());
+        let t = &run_experiment("e12b", &cfg())[0];
         assert_eq!(t.rows.len(), duties(&cfg()).len() * 2, "duty × jammer grid");
     }
 }

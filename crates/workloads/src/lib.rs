@@ -4,10 +4,12 @@
 //!
 //! * [`scenario`] — reproducible network scenarios (topology + channel
 //!   model + seed);
-//! * [`runner`] — multi-trial parallel runners with ground-truth probes
-//!   (time to full discovery, time to all-informed);
-//! * [`campaign`] — resumable, fault-tolerant campaigns on top of the
-//!   runners: an `ArmResult` flow-control lifecycle (the runner owns
+//! * [`runner`] — the trial (one protocol run timed against a
+//!   ground-truth probe: time to full discovery, time to all-informed),
+//!   the per-worker reusable trial engine, and the work-stealing executor
+//!   campaign waves run on;
+//! * [`campaign`] — resumable, fault-tolerant campaigns of trials: an
+//!   `ArmResult` flow-control lifecycle (the runner owns
 //!   retries, backoff, and per-arm circuit breakers), an append-only
 //!   journal for exact checkpoint/resume, and deterministic fault
 //!   injection for testing the harness itself;
@@ -15,7 +17,9 @@
 //! * [`theory`] — the paper's bounds as unit-constant reference curves;
 //! * [`experiments`] — one module per paper claim (E1–E12, A1–A3b, R1; see
 //!   the README's "The experiment suite" section), shared by the
-//!   `experiments` binary, the integration tests and the criterion benches.
+//!   `experiments` binary, the campaign server and the integration tests.
+//!   Every trial sweep among them is a registered campaign kind
+//!   ([`experiments::campaigns::REGISTRY`]).
 //!
 //! ## Example
 //!

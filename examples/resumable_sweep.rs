@@ -46,7 +46,7 @@ impl Drop for JournalDir {
 
 fn main() -> ExitCode {
     let cfg = ExpConfig { quick: true, trials: 3, seed: 7 };
-    let threads = campaigns::default_threads(&cfg);
+    let threads = campaigns::default_threads();
     let spec = campaigns::e2_spec(&cfg);
     println!(
         "campaign {:?}: {} arms x {} trials, {} threads",

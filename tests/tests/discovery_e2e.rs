@@ -2,7 +2,7 @@
 //! sound and complete on every topology/channel-model combination within
 //! its fixed schedule, independent of local channel labels.
 
-use crn_core::discovery::{outputs_complete, outputs_sound};
+use crn_core::discovery::{all_discovered, outputs_complete, outputs_sound};
 use crn_core::params::SeekParams;
 use crn_core::seek::CSeek;
 use crn_integration::build;
@@ -92,19 +92,25 @@ fn full_pipeline_is_deterministic() {
 fn discovery_time_improves_with_more_overlap() {
     // Same ring, k = 1 vs k = 4 out of c = 8: more shared channels must not
     // slow discovery down (Theorem 4: time ∝ c²/k).
-    use crn_workloads::runner::{discovery_trials, summarize_trials};
+    use crn_workloads::runner::{summarize_trials, EngineCell, Trial, TrialOpts};
     let mut means = Vec::new();
     for k in [1usize, 4] {
         let (net, model) =
             build(Topology::Cycle { n: 12 }, ChannelModel::SharedCore { c: 8, core: k }, 7);
         let sched = SeekParams::default().schedule(&model);
-        let trials = discovery_trials(
-            &net,
-            |ctx| CSeek::new(ctx.id, sched, false),
-            5,
-            99,
-            sched.total_slots(),
-        );
+        let mut cell = EngineCell::new();
+        let trials: Vec<Trial> = (0..5)
+            .map(|i| {
+                cell.run_trial(
+                    &net,
+                    |ctx| CSeek::new(ctx.id, sched, false),
+                    99 + i,
+                    sched.total_slots(),
+                    &TrialOpts::default(),
+                    |_s, e| all_discovered(&net, e),
+                )
+            })
+            .collect();
         let (mean, frac) = summarize_trials(&trials);
         assert_eq!(frac, 1.0, "k={k} must complete");
         means.push(mean.unwrap());

@@ -1,6 +1,7 @@
 //! Smoke test: every experiment in the registry runs in quick mode and
-//! produces non-degenerate tables. (The full-scale numbers live in
-//! EXPERIMENTS.md and are regenerated by the `experiments` binary.)
+//! produces non-degenerate tables. (The full-scale numbers are
+//! regenerated by the `experiments` binary; see the README's "The
+//! experiment suite" section.)
 
 use crn_workloads::experiments::{run_experiment, ExpConfig, ALL_EXPERIMENTS};
 
