@@ -161,6 +161,23 @@ impl Standard for f64 {
     }
 }
 
+/// Maps one raw 64-bit word to the geometric draw
+/// [`Rng::sample_geometric`]`(p)` makes from it, for `0 < p <= 1`:
+/// `1 + ⌊ln(1−U) / ln(1−p)⌋` with `U = unit_f64(word)`. Public so
+/// consumers that tabulate the mapping can fall back to exactly it.
+#[inline]
+pub fn geometric_from_word(word: u64, p: f64) -> u64 {
+    if p >= 1.0 {
+        return 1;
+    }
+    // P(X > k) = (1-p)^k  ⇒  X = 1 + ⌊ln(1-U) / ln(1-p)⌋, U ∈ [0, 1).
+    // 1-U ∈ (0, 1] keeps the numerator finite. The quotient is ≥ 0, -0.0
+    // (U = 0), -∞ or NaN (1 − p rounds to 1), and `as u64` truncates the
+    // first to its floor and maps the other three to 0; it also saturates,
+    // so a vanishing p cannot wrap.
+    1u64.saturating_add(((1.0 - unit_f64(word)).ln() / (1.0 - p).ln()) as u64)
+}
+
 impl Standard for f32 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
@@ -257,15 +274,7 @@ pub trait Rng: RngCore {
         // Always consume one word, even on the p = 1 fast path: the draw
         // count must be a function of the call, not of the parameter, so
         // callers can reason about stream positions.
-        let u = unit_f64(self.next_u64());
-        if p >= 1.0 {
-            return 1;
-        }
-        // P(X > k) = (1-p)^k  ⇒  X = 1 + ⌊ln(1-U) / ln(1-p)⌋, U ∈ [0, 1).
-        // 1-U ∈ (0, 1] keeps the numerator finite; saturate the cast so a
-        // vanishing p cannot wrap.
-        let k = ((1.0 - u).ln() / (1.0 - p).ln()).floor();
-        1u64.saturating_add(k as u64)
+        geometric_from_word(self.next_u64(), p)
     }
 
     /// A Poisson(`lambda`) draw via Knuth's product-of-uniforms method:
@@ -439,6 +448,37 @@ mod tests {
                 1 + (((1.0 - u).ln() / (1.0 - p).ln()).floor() as u64)
             };
             assert_eq!(rng.sample_geometric(p), expect);
+        }
+    }
+
+    #[test]
+    fn geometric_from_word_equals_the_floor_form() {
+        // The same mapping with an explicit floor.
+        fn floor_form(word: u64, p: f64) -> u64 {
+            if p >= 1.0 {
+                return 1;
+            }
+            let k = ((1.0 - unit_f64(word)).ln() / (1.0 - p).ln()).floor();
+            1u64.saturating_add(k as u64)
+        }
+        // u = 0 (the quotient is -0.0), p = 1, and a p so small that
+        // 1 − p rounds to 1 (the quotient is -∞ or NaN; the draw is 1).
+        let edges = [(0u64, 0.3), (0x7FF, 0.3), (0, 1.0), (u64::MAX, 1.0), (0, 1e-17)];
+        for (word, p) in edges.into_iter().chain([u64::MAX, 1 << 63, 12_345].map(|w| (w, 1e-17))) {
+            assert_eq!(geometric_from_word(word, p), floor_form(word, p), "word {word:#x} p {p}");
+        }
+        assert_eq!(geometric_from_word(u64::MAX, 1e-17), 1);
+        assert_eq!(geometric_from_word(0, 0.3), 1);
+        let mut rng = SmallRng::seed_from_u64(0x6E0);
+        for i in 0..1_000_000u32 {
+            let word = rng.next_u64();
+            // Mostly uniform p, every eighth one spread over decades.
+            let p = if i % 8 == 0 {
+                (-(f64::from(i / 8 % 40) + unit_f64(rng.next_u64()))).exp2()
+            } else {
+                unit_f64(rng.next_u64()).max(f64::MIN_POSITIVE)
+            };
+            assert_eq!(geometric_from_word(word, p), floor_form(word, p), "word {word:#x} p {p}");
         }
     }
 

@@ -9,13 +9,32 @@ pub struct SmallRng {
     s: [u64; 4],
 }
 
+/// SplitMix64's state increment.
+const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
 #[inline]
 fn split_mix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    *state = state.wrapping_add(GAMMA);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+impl SmallRng {
+    /// The first word `SmallRng::seed_from_u64(seed)` returns, without
+    /// building the generator — for consumers that draw a single word per
+    /// stream. xoshiro256++'s first output reads only state words 0 and 3
+    /// of the SplitMix64 expansion. (The expansion's all-zero guard never
+    /// fires: words 0 and 3 both being zero would need `3·γ ≡ 0 mod 2⁶⁴`,
+    /// since SplitMix64's finalizer is a bijection.)
+    #[inline]
+    pub fn first_u64(seed: u64) -> u64 {
+        let (mut at0, mut at3) = (seed, seed.wrapping_add(GAMMA.wrapping_mul(3)));
+        let s0 = split_mix64(&mut at0);
+        let s3 = split_mix64(&mut at3);
+        s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0)
+    }
 }
 
 impl SeedableRng for SmallRng {
@@ -30,7 +49,7 @@ impl SeedableRng for SmallRng {
         // An all-zero state would be a fixed point; SplitMix64 cannot produce
         // four zero outputs in a row, but be defensive anyway.
         if s == [0; 4] {
-            s[0] = 0x9E37_79B9_7F4A_7C15;
+            s[0] = GAMMA;
         }
         SmallRng { s }
     }
@@ -73,6 +92,17 @@ impl RngCore for SmallRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn first_u64_is_the_seeded_generators_first_word() {
+        let mut seed = 0u64;
+        for i in 0..100_000u64 {
+            assert_eq!(SmallRng::first_u64(seed), SmallRng::seed_from_u64(seed).next_u64());
+            // Walk dense small seeds, then scattered ones.
+            seed = if i < 1000 { i + 1 } else { split_mix64(&mut seed) };
+        }
+        assert_eq!(SmallRng::first_u64(u64::MAX), SmallRng::seed_from_u64(u64::MAX).next_u64());
+    }
 
     #[test]
     fn matches_reference_vector() {

@@ -96,6 +96,15 @@ impl BitSet {
         &self.words
     }
 
+    /// Flips the bits `flip` of word `w` (indices `64·w ..`) and returns
+    /// the word's new value. `flip` must not reach past `len`.
+    #[inline]
+    pub(crate) fn toggle_word(&mut self, w: usize, flip: u64) -> u64 {
+        self.words[w] ^= flip;
+        debug_assert!(self.len > 64 * w + 63 || self.words[w] >> (self.len - 64 * w) == 0);
+        self.words[w]
+    }
+
     /// Classifies the intersection of two sets as empty, a single index, or
     /// two-or-more — without materializing it. One pass over the words with
     /// early exit at the second hit; this is the engine's listener-side

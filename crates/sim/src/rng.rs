@@ -66,7 +66,28 @@ const CHANNEL_STREAM_SALT: u64 = 0xC4A2_77E1_0B5D_93F6;
 /// reproduces a fresh engine's streams exactly.
 #[inline]
 pub fn channel_slot_seed(master: u64, slot: u64, channel: u32) -> u64 {
-    derive_seed(derive_seed(master ^ CHANNEL_STREAM_SALT, slot), channel as u64)
+    join_stream_keys(slot_stream_key(master, slot), channel_stream_key(channel))
+}
+
+/// The slot half of [`channel_slot_seed`], shared by every channel of one
+/// slot.
+#[inline]
+pub(crate) fn slot_stream_key(master: u64, slot: u64) -> u64 {
+    derive_seed(master ^ CHANNEL_STREAM_SALT, slot)
+}
+
+/// The channel half of [`channel_slot_seed`], the same in every run and
+/// slot.
+#[inline]
+pub(crate) fn channel_stream_key(channel: u32) -> u64 {
+    split_mix64((channel as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+}
+
+/// [`channel_slot_seed`] from its two halves: one SplitMix64 round (the
+/// outer [`derive_seed`]).
+#[inline]
+pub(crate) fn join_stream_keys(slot_key: u64, channel_key: u64) -> u64 {
+    split_mix64(slot_key ^ channel_key)
 }
 
 /// Builds the RNG for channel `channel` in slot `slot` of run `master`.
@@ -119,6 +140,24 @@ mod tests {
         // construction (domain salt); spot-check a window.
         for v in 0..64u64 {
             assert_ne!(channel_slot_seed(7, 3, 11), derive_seed(7, v));
+        }
+    }
+
+    #[test]
+    fn split_stream_keys_rejoin_to_the_channel_slot_seed() {
+        // The nested form the seed was defined by.
+        let nested =
+            |m: u64, s: u64, c: u32| derive_seed(derive_seed(m ^ CHANNEL_STREAM_SALT, s), c as u64);
+        for (m, s, c) in [(0, 0, 0), (7, 3, 11), (u64::MAX, u64::MAX, u32::MAX), (42, 1 << 40, 5)] {
+            let joined = join_stream_keys(slot_stream_key(m, s), channel_stream_key(c));
+            assert_eq!(joined, nested(m, s, c));
+            assert_eq!(channel_slot_seed(m, s, c), nested(m, s, c));
+        }
+        let mut rng = stream_rng(5, 5);
+        for _ in 0..10_000 {
+            let (m, s, c) = (rng.gen(), rng.gen(), rng.gen());
+            let joined = join_stream_keys(slot_stream_key(m, s), channel_stream_key(c));
+            assert_eq!(joined, nested(m, s, c));
         }
     }
 
