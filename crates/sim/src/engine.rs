@@ -1587,17 +1587,11 @@ impl<'net, P: Protocol> Engine<'net, P> {
     /// identical across all [`Resolver`] modes and thread counts; installing
     /// mid-run starts the process fresh at the current slot.
     pub fn set_spectrum(&mut self, dynamics: SpectrumDynamics) {
-        match &mut self.spectrum {
-            _ if dynamics.is_static() => self.spectrum = None,
-            // Re-installing the installed dynamics (trial harnesses do it
-            // every trial) rewinds in place: exactly a fresh install,
-            // without rebuilding its tables.
-            Some(sp) if *sp.dynamics() == dynamics => {
-                sp.reset();
-                sp.set_record_history(true);
-            }
-            _ => self.spectrum = Some(SpectrumState::new(dynamics, &self.dense_to_raw)),
-        }
+        self.spectrum = if dynamics.is_static() {
+            None
+        } else {
+            Some(SpectrumState::new(dynamics, &self.dense_to_raw))
+        };
     }
 
     /// The installed spectrum state (utilization, busy history), if any.
@@ -2442,42 +2436,6 @@ mod tests {
             (eng.counters(), eng.into_outputs())
         };
         assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    fn equal_spectrum_reinstall_reproduces_a_fresh_install() {
-        let net = star(6);
-        let channels: Vec<GlobalChannel> = (0..8).map(GlobalChannel).collect();
-        let make = |ctx: NodeCtx| Fixed {
-            bcast: ctx.id.0 % 3 == 1,
-            ch: LocalChannel(0),
-            heard: Vec::new(),
-            id: ctx.id.0,
-        };
-        let dynamics = SpectrumDynamics::MarkovOnOff { p_busy: 0.25, p_free: 0.25 };
-        let observe = |eng: &Engine<'_, Fixed>| {
-            let sp = eng.spectrum().expect("dynamics installed");
-            let history: Vec<Vec<bool>> = (0..eng.slot())
-                .map(|s| channels.iter().map(|&g| sp.was_busy(s, g).expect("recorded")).collect())
-                .collect();
-            (eng.counters(), sp.utilization(), sp.busy_fraction(), history)
-        };
-        let mut fresh = Engine::new(&net, 5, make);
-        fresh.set_spectrum(dynamics.clone());
-        fresh.run_to_completion(300);
-        let want = observe(&fresh);
-
-        // A different run (history off, other seed), then the same
-        // dynamics installed again on the reset engine.
-        let mut eng = Engine::new(&net, 9, make);
-        eng.set_spectrum(dynamics.clone());
-        eng.spectrum_mut().expect("installed").set_record_history(false);
-        eng.run_to_completion(200);
-        eng.reset(5, make);
-        eng.set_spectrum(dynamics);
-        eng.run_to_completion(300);
-        assert_eq!(observe(&eng), want);
-        assert!(want.2 > 0.0, "the scenario must exercise busy slots");
     }
 
     #[test]

@@ -30,7 +30,13 @@ pub fn split_mix64(mut z: u64) -> u64 {
 /// Distinct `(master, stream)` pairs give (practically) independent seeds.
 #[inline]
 pub fn derive_seed(master: u64, stream: u64) -> u64 {
-    split_mix64(master ^ split_mix64(stream.wrapping_mul(0xA24B_AED4_963E_E407)))
+    split_mix64(master ^ premix(stream))
+}
+
+/// The stream half of [`derive_seed`], which mixes it with the master seed.
+#[inline]
+fn premix(stream: u64) -> u64 {
+    split_mix64(stream.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
 /// Builds the RNG for stream `stream` of run `master`.
@@ -80,7 +86,7 @@ pub(crate) fn slot_stream_key(master: u64, slot: u64) -> u64 {
 /// slot.
 #[inline]
 pub(crate) fn channel_stream_key(channel: u32) -> u64 {
-    split_mix64((channel as u64).wrapping_mul(0xA24B_AED4_963E_E407))
+    premix(channel as u64)
 }
 
 /// [`channel_slot_seed`] from its two halves: one SplitMix64 round (the

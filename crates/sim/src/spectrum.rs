@@ -51,13 +51,13 @@
 //!   a generator. Only Poisson burst lengths, which consume `k + 1` words,
 //!   seed one.
 //! - The word maps to its dwell time through a threshold table, not
-//!   through `1 + ⌊ln(1−U)/ln(1−p)⌋`.
-//! - Utilization is booked when a busy period ends, not counted per slot.
+//!   through `1 + ⌊ln(1−U)/ln(1−p)⌋`. A 64-bucket guide starts the search
+//!   at the bucket's least value, so most lookups take one or two
+//!   compares.
+//! - Utilization adds one count per busy channel per slot.
 //!
 //! Installing builds one table per transition probability, from about two
-//! formula evaluations per tabulated value. Re-installing equal dynamics
-//! through [`Engine::set_spectrum`](crate::engine::Engine::set_spectrum)
-//! rewinds in place and keeps them.
+//! formula evaluations per tabulated value.
 //!
 //! # Why the threshold table is exact
 //!
@@ -215,7 +215,7 @@ impl SpectrumDynamics {
     }
 }
 
-/// Dwell-time sentinel for a state that never expires (a transition
+/// Sojourn sentinel for a state that never expires (a transition
 /// probability of zero).
 const FOREVER: u64 = u64::MAX;
 
@@ -375,11 +375,7 @@ pub struct SpectrumState {
     /// Per dense channel: the advance (counted like `slots`) at which its
     /// current sojourn ends ([`FOREVER`] pins the state).
     next: Vec<u64>,
-    /// Per dense channel: the advance its current busy period began at.
-    /// Read only while the channel is busy; other transitions may
-    /// overwrite it.
-    busy_since: Vec<u64>,
-    /// Per dense channel: busy slots of its finished busy periods.
+    /// Per dense channel: total busy slots observed (utilization).
     busy_slots: Vec<u64>,
     /// Slots advanced so far.
     slots: u64,
@@ -407,7 +403,6 @@ impl SpectrumState {
             mask: BitSet::new(universe),
             keys: dense_to_raw.iter().map(|&r| channel_stream_key(r)).collect(),
             next: vec![0; universe],
-            busy_since: vec![0; universe],
             busy_slots: vec![0; universe],
             slots: 0,
             first_slot: None,
@@ -424,7 +419,6 @@ impl SpectrumState {
     pub(crate) fn reset(&mut self) {
         self.mask.clear();
         self.next.fill(0);
-        self.busy_since.fill(0);
         self.busy_slots.fill(0);
         self.slots = 0;
         self.first_slot = None;
@@ -435,29 +429,25 @@ impl SpectrumState {
     /// order, before any node acts) and refreshes the busy mask.
     pub(crate) fn advance(&mut self, master: u64, slot: u64) {
         self.first_slot.get_or_insert(slot);
-        let now = self.slots;
         match &self.dynamics {
             SpectrumDynamics::Static => {}
             SpectrumDynamics::TraceReplay(trace) => {
-                // Every busy period ends here; the step's channels open
-                // new ones.
-                for ch in self.mask.iter() {
-                    self.busy_slots[ch] += now - self.busy_since[ch];
-                }
                 self.mask.clear();
                 if !trace.is_empty() {
                     let step = &trace[(slot % trace.len() as u64) as usize];
                     for g in step {
                         if let Some(&d) = self.raw_to_dense.get(&g.0) {
                             self.mask.insert(d as usize);
-                            self.busy_since[d as usize] = now;
                         }
                     }
                 }
             }
             SpectrumDynamics::MarkovOnOff { .. } | SpectrumDynamics::PoissonBursts { .. } => {
-                self.advance_sojourns(slot_stream_key(master, slot), now);
+                self.advance_sojourns(slot_stream_key(master, slot), self.slots);
             }
+        }
+        for ch in self.mask.iter() {
+            self.busy_slots[ch] += 1;
         }
         if self.record_history {
             self.history.push(self.mask.iter().map(|c| c as u32).collect());
@@ -487,22 +477,10 @@ impl SpectrumState {
                 rest &= rest - 1;
                 let ch = base + i;
                 let busy = state >> i & 1;
-                // A channel that turned idle books the busy period it
-                // ended. Masked, not branched: which way a channel flips
-                // is unpredictable.
-                self.busy_slots[ch] += (now - self.busy_since[ch]) & busy.wrapping_sub(1);
-                self.busy_since[ch] = now;
                 let seed = join_stream_keys(slot_key, self.keys[ch]);
                 self.next[ch] = now.saturating_add(self.sojourn[busy as usize].draw(seed));
             }
         }
-    }
-
-    /// Busy slots of dense channel `ch` so far, its open busy period
-    /// included.
-    fn busy_slots_of(&self, ch: usize) -> u64 {
-        let open = if self.mask.contains(ch) { self.slots - self.busy_since[ch] } else { 0 };
-        self.busy_slots[ch] + open
     }
 
     /// The current slot's busy mask over the engine's dense channels.
@@ -539,11 +517,7 @@ impl SpectrumState {
     /// Per-channel utilization: `(channel, busy slots)` over every slot
     /// advanced so far, in ascending global-channel order.
     pub fn utilization(&self) -> Vec<(GlobalChannel, u64)> {
-        self.raw
-            .iter()
-            .enumerate()
-            .map(|(ch, &r)| (GlobalChannel(r), self.busy_slots_of(ch)))
-            .collect()
+        self.raw.iter().zip(&self.busy_slots).map(|(&r, &b)| (GlobalChannel(r), b)).collect()
     }
 
     /// Mean busy fraction across all channels and slots so far (the
@@ -553,7 +527,7 @@ impl SpectrumState {
         if total == 0 {
             return 0.0;
         }
-        (0..self.raw.len()).map(|ch| self.busy_slots_of(ch)).sum::<u64>() as f64 / total as f64
+        self.busy_slots.iter().sum::<u64>() as f64 / total as f64
     }
 
     /// Toggles per-slot history recording (on by default; needed by
