@@ -36,23 +36,22 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use crn_sim::channels::ChannelModel;
 use crn_sim::topology::Topology;
 use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Engine, Feedback, FeedbackBatch,
-    GlobalChannel, LocalChannel, Network, Protocol, Resolver, SlotCtx, SpectrumDynamics, StatsMode,
+    Action, Engine, Feedback, GlobalChannel, LocalChannel, Network, Protocol, Resolver, SlotCtx,
+    SpectrumDynamics, StatsMode,
 };
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// A protocol exercising the engine's hot path: random channel, random role,
-/// every slot (no sleeping — maximum per-slot resolution load). Ported to
-/// the batched act path (two guaranteed words per slot, pre-filled in one
-/// bulk draw) and the batched feedback path (reserve 0 — the body never
-/// draws), like the repo's real protocols.
+/// every slot (no sleeping — maximum per-slot resolution load).
 struct Chatter {
     c: u16,
     heard: u64,
 }
 
-impl Chatter {
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<u32> {
+impl Protocol for Chatter {
+    type Message = u32;
+    type Output = u64;
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u32> {
         let channel = LocalChannel(ctx.rng.gen_range(0..self.c));
         if ctx.rng.gen_bool(0.5) {
             Action::Broadcast { channel, message: 7 }
@@ -60,34 +59,10 @@ impl Chatter {
             Action::Listen { channel }
         }
     }
-}
-
-impl Protocol for Chatter {
-    type Message = u32;
-    type Output = u64;
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u32> {
-        self.act_any(ctx)
-    }
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<u32>>) {
-        act_batch_buffered(batch, ctx, out, |_| 2, |p, sctx| p.act_any(sctx));
-    }
     fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, u32>) {
         if matches!(fb, Feedback::Heard(_)) {
             self.heard += 1;
         }
-    }
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, u32>) {
-        feedback_batch_buffered(
-            batch,
-            ctx,
-            fb,
-            |_| 0,
-            |p, _sctx, f| {
-                if matches!(f, Feedback::Heard(_)) {
-                    p.heard += 1;
-                }
-            },
-        );
     }
     fn is_complete(&self) -> bool {
         false

@@ -24,10 +24,9 @@
 use crn_sim::channels::ChannelModel;
 use crn_sim::topology::Topology;
 use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Engine, Feedback, FeedbackBatch,
-    LocalChannel, Network, Protocol, Resolver, SlotCtx, StatsMode,
+    Action, Engine, Feedback, LocalChannel, Network, Protocol, Resolver, SlotCtx, StatsMode,
 };
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Peak-RSS ceiling. The linear structures at n = 10⁵ / m ≈ 4·10⁵ total a
 /// few tens of MiB including the binary and worker stacks; the first
@@ -45,8 +44,10 @@ struct Chatter {
     heard: u64,
 }
 
-impl Chatter {
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<u32> {
+impl Protocol for Chatter {
+    type Message = u32;
+    type Output = u64;
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u32> {
         let channel = LocalChannel(ctx.rng.gen_range(0..self.c));
         if ctx.rng.gen_bool(0.05) {
             Action::Broadcast { channel, message: 7 }
@@ -54,34 +55,10 @@ impl Chatter {
             Action::Listen { channel }
         }
     }
-}
-
-impl Protocol for Chatter {
-    type Message = u32;
-    type Output = u64;
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u32> {
-        self.act_any(ctx)
-    }
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<u32>>) {
-        act_batch_buffered(batch, ctx, out, |_| 2, |p, sctx| p.act_any(sctx));
-    }
     fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, u32>) {
         if matches!(fb, Feedback::Heard(_)) {
             self.heard += 1;
         }
-    }
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, u32>) {
-        feedback_batch_buffered(
-            batch,
-            ctx,
-            fb,
-            |_| 0,
-            |p, _sctx, f| {
-                if matches!(f, Feedback::Heard(_)) {
-                    p.heard += 1;
-                }
-            },
-        );
     }
     fn is_complete(&self) -> bool {
         false

@@ -15,11 +15,8 @@
 
 use crate::discovery::{DiscoveryOutput, DiscoveryProtocol};
 use crate::params::ModelInfo;
-use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Feedback, FeedbackBatch,
-    LocalChannel, NodeId, Protocol, SlotCtx,
-};
-use rand::{Rng, RngCore};
+use crn_sim::{Action, Feedback, LocalChannel, NodeId, Protocol, SlotCtx};
+use rand::Rng;
 use std::collections::BTreeMap;
 
 /// Schedule for [`NaiveDiscovery`].
@@ -78,10 +75,11 @@ impl NaiveDiscovery {
     }
 }
 
-impl NaiveDiscovery {
-    /// The act body, generic over the random source so the scalar and
-    /// batched paths share one implementation.
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<NodeId> {
+impl Protocol for NaiveDiscovery {
+    type Message = NodeId;
+    type Output = DiscoveryOutput;
+
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<NodeId> {
         if self.step >= self.sched.steps {
             return Action::Sleep;
         }
@@ -104,22 +102,7 @@ impl NaiveDiscovery {
         }
     }
 
-    /// Guaranteed lower bound on this slot's draws: role coin + channel on
-    /// a step-init slot (a freshly-drawn broadcaster draws one more), one
-    /// transmission coin for a known broadcaster, none otherwise.
-    fn min_draws(&self) -> usize {
-        if self.step >= self.sched.steps {
-            0
-        } else if !self.step_initialized {
-            2
-        } else {
-            self.broadcaster as usize
-        }
-    }
-
-    /// The feedback body, generic over the random source so the scalar and
-    /// batched delivery paths share one implementation (it draws nothing).
-    fn feedback_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>, fb: Feedback<'_, NodeId>) {
+    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, NodeId>) {
         if self.step >= self.sched.steps {
             return;
         }
@@ -131,28 +114,6 @@ impl NaiveDiscovery {
             self.step += 1;
             self.step_initialized = false;
         }
-    }
-}
-
-impl Protocol for NaiveDiscovery {
-    type Message = NodeId;
-    type Output = DiscoveryOutput;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<NodeId> {
-        self.act_any(ctx)
-    }
-
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<NodeId>>) {
-        act_batch_buffered(batch, ctx, out, |p| p.min_draws(), |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, NodeId>) {
-        self.feedback_any(ctx, fb);
-    }
-
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, NodeId>) {
-        // Reserve 0 exactly: the feedback body never draws.
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, sctx, f| p.feedback_any(sctx, f));
     }
 
     fn is_complete(&self) -> bool {
@@ -225,10 +186,11 @@ impl FixedRateDiscovery {
     }
 }
 
-impl FixedRateDiscovery {
-    /// The act body, generic over the random source so the scalar and
-    /// batched paths share one implementation.
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<NodeId> {
+impl Protocol for FixedRateDiscovery {
+    type Message = NodeId;
+    type Output = DiscoveryOutput;
+
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<NodeId> {
         if self.slot >= self.sched.slots {
             return Action::Sleep;
         }
@@ -244,45 +206,11 @@ impl FixedRateDiscovery {
         }
     }
 
-    /// Guaranteed draws per live slot: channel choice + role coin (the
-    /// transmission coin is data-dependent on the role and falls through).
-    fn min_draws(&self) -> usize {
-        if self.slot >= self.sched.slots {
-            0
-        } else {
-            2
-        }
-    }
-
-    /// The feedback body, generic over the random source so the scalar and
-    /// batched delivery paths share one implementation (it draws nothing).
-    fn feedback_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>, fb: Feedback<'_, NodeId>) {
+    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, NodeId>) {
         if let Feedback::Heard(id) = fb {
             self.heard.entry(*id).or_insert(ctx.slot.0);
         }
         self.slot += 1;
-    }
-}
-
-impl Protocol for FixedRateDiscovery {
-    type Message = NodeId;
-    type Output = DiscoveryOutput;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<NodeId> {
-        self.act_any(ctx)
-    }
-
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<NodeId>>) {
-        act_batch_buffered(batch, ctx, out, |p| p.min_draws(), |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, NodeId>) {
-        self.feedback_any(ctx, fb);
-    }
-
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, NodeId>) {
-        // Reserve 0 exactly: the feedback body never draws.
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, sctx, f| p.feedback_any(sctx, f));
     }
 
     fn is_complete(&self) -> bool {
@@ -350,10 +278,13 @@ impl NaiveBroadcast {
     pub fn is_informed(&self) -> bool {
         self.payload.is_some()
     }
+}
 
-    /// The act body, generic over the random source so the scalar and
-    /// batched paths share one implementation.
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<u64> {
+impl Protocol for NaiveBroadcast {
+    type Message = u64;
+    type Output = BroadcastOutput;
+
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u64> {
         if self.slot >= self.slots {
             return Action::Sleep;
         }
@@ -370,19 +301,7 @@ impl NaiveBroadcast {
         }
     }
 
-    /// NaiveBroadcast's per-slot draw count is *exact* from state alone:
-    /// channel choice plus, when informed, the transmission coin.
-    fn draws_this_slot(&self) -> usize {
-        if self.slot >= self.slots {
-            0
-        } else {
-            1 + self.payload.is_some() as usize
-        }
-    }
-
-    /// The feedback body, generic over the random source so the scalar and
-    /// batched delivery paths share one implementation (it draws nothing).
-    fn feedback_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>, fb: Feedback<'_, u64>) {
+    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, u64>) {
         if let Feedback::Heard(data) = fb {
             if self.payload.is_none() {
                 self.payload = Some(*data);
@@ -390,28 +309,6 @@ impl NaiveBroadcast {
             }
         }
         self.slot += 1;
-    }
-}
-
-impl Protocol for NaiveBroadcast {
-    type Message = u64;
-    type Output = BroadcastOutput;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u64> {
-        self.act_any(ctx)
-    }
-
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<u64>>) {
-        act_batch_buffered(batch, ctx, out, |p| p.draws_this_slot(), |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, u64>) {
-        self.feedback_any(ctx, fb);
-    }
-
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, u64>) {
-        // Reserve 0 exactly: the feedback body never draws.
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, sctx, f| p.feedback_any(sctx, f));
     }
 
     fn is_complete(&self) -> bool {

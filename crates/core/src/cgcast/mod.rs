@@ -39,10 +39,7 @@ use crate::coloring::luby::LubyNodeState;
 use crate::count::Role;
 use crate::params::GcastSchedule;
 use crate::seek::{SeekCore, SeekSlotPlan};
-use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Edge, Feedback, FeedbackBatch,
-    LocalChannel, NodeId, Protocol, SlotCtx,
-};
+use crn_sim::{Action, Edge, Feedback, LocalChannel, NodeId, Protocol, SlotCtx};
 use rand::{Rng, RngCore};
 use std::collections::BTreeMap;
 
@@ -380,7 +377,7 @@ impl CGCast {
         self.step_informed = self.payload.is_some();
     }
 
-    fn dissem_act<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<GcastMsg> {
+    fn dissem_act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<GcastMsg> {
         let Some(peer) = self.step_edge else {
             return Action::Sleep;
         };
@@ -401,11 +398,7 @@ impl CGCast {
         }
     }
 
-    fn dissem_feedback<R: RngCore>(
-        &mut self,
-        ctx: &mut SlotCtx<'_, R>,
-        fb: Feedback<'_, GcastMsg>,
-    ) {
+    fn dissem_feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, GcastMsg>) {
         if let Feedback::Heard(GcastMsg::Data(x)) = fb {
             if self.payload.is_none() {
                 self.payload = Some(*x);
@@ -434,10 +427,11 @@ impl CGCast {
     }
 }
 
-impl CGCast {
-    /// The act body, generic over the random source so the scalar and
-    /// batched paths share one implementation.
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<GcastMsg> {
+impl Protocol for CGCast {
+    type Message = GcastMsg;
+    type Output = GcastOutput;
+
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<GcastMsg> {
         match self.stage {
             Stage::Done => Action::Sleep,
             Stage::Disseminate => self.dissem_act(ctx),
@@ -458,25 +452,7 @@ impl CGCast {
         }
     }
 
-    /// Guaranteed lower bound on this slot's draws: the seek core's bound
-    /// in the seek-driven stages; in dissemination, one back-off coin when
-    /// this node is the informed endpoint of the step's bound edge (the
-    /// role and edge are frozen at the step boundary, so the count is
-    /// exact there); nothing otherwise.
-    fn min_draws(&self) -> usize {
-        match self.stage {
-            Stage::Done => 0,
-            Stage::Disseminate => (self.step_edge.is_some() && self.step_informed) as usize,
-            _ => self.seek.as_ref().map_or(0, SeekCore::min_draws),
-        }
-    }
-
-    /// The feedback body, generic over the random source so the scalar and
-    /// batched delivery paths share one implementation. Draws randomness
-    /// only on the data-dependent seek-completion transition
-    /// (`advance_after_seek` → Luby proposals), so the batched reserve is 0
-    /// and those draws fall through the buffered façade.
-    fn feedback_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>, fb: Feedback<'_, GcastMsg>) {
+    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, GcastMsg>) {
         match self.stage {
             Stage::Done => {}
             Stage::Disseminate => self.dissem_feedback(ctx, fb),
@@ -500,29 +476,6 @@ impl CGCast {
                 }
             }
         }
-    }
-}
-
-impl Protocol for CGCast {
-    type Message = GcastMsg;
-    type Output = GcastOutput;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<GcastMsg> {
-        self.act_any(ctx)
-    }
-
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<GcastMsg>>) {
-        act_batch_buffered(batch, ctx, out, |p| p.min_draws(), |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, GcastMsg>) {
-        self.feedback_any(ctx, fb);
-    }
-
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, GcastMsg>) {
-        // Reserve 0: feedback draws only on the seek-done transition, a
-        // data-dependent count that falls through the buffered façade.
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, sctx, f| p.feedback_any(sctx, f));
     }
 
     fn is_complete(&self) -> bool {

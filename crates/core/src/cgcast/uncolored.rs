@@ -12,11 +12,8 @@ use super::message::GcastMsg;
 use super::output::GcastOutput;
 use crate::params::GcastSchedule;
 use crate::seek::{SeekCore, SeekSlotPlan};
-use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Feedback, FeedbackBatch,
-    LocalChannel, NodeId, Protocol, SlotCtx,
-};
-use rand::{Rng, RngCore};
+use crn_sim::{Action, Feedback, LocalChannel, NodeId, Protocol, SlotCtx};
+use rand::Rng;
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +97,7 @@ impl UncoloredGcast {
         }
     }
 
-    fn init_step<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) {
+    fn init_step(&mut self, ctx: &mut SlotCtx<'_>) {
         self.step_edge = if self.dedicated.is_empty() {
             None
         } else {
@@ -109,34 +106,13 @@ impl UncoloredGcast {
         };
         self.step_informed = self.payload.is_some();
     }
+}
 
-    /// Exact draw count for a dissemination slot (edge choice at a step
-    /// boundary, back-off coin for an informed bound node); the seek
-    /// core's guaranteed bound elsewhere.
-    fn min_draws(&self) -> usize {
-        match self.stage {
-            Stage::Done => 0,
-            Stage::Disseminate => {
-                if self.round == 0 && self.slot == 0 && self.step_edge.is_none() {
-                    // Step boundary: the random edge choice happens iff any
-                    // dedicated edge exists, and then this node is bound to
-                    // an edge, so the informed back-off coin follows.
-                    if self.dedicated.is_empty() {
-                        0
-                    } else {
-                        1 + self.payload.is_some() as usize
-                    }
-                } else {
-                    (self.step_edge.is_some() && self.step_informed) as usize
-                }
-            }
-            _ => self.seek.as_ref().map_or(0, SeekCore::min_draws),
-        }
-    }
+impl Protocol for UncoloredGcast {
+    type Message = GcastMsg;
+    type Output = GcastOutput;
 
-    /// The act body, generic over the random source so the scalar and
-    /// batched paths share one implementation.
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<GcastMsg> {
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<GcastMsg> {
         match self.stage {
             Stage::Done => Action::Sleep,
             Stage::Disseminate => {
@@ -177,10 +153,7 @@ impl UncoloredGcast {
         }
     }
 
-    /// The feedback body, generic over the random source so the scalar and
-    /// batched delivery paths share one implementation (it draws nothing —
-    /// stage transitions here are deterministic).
-    fn feedback_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>, fb: Feedback<'_, GcastMsg>) {
+    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, GcastMsg>) {
         match self.stage {
             Stage::Done => {}
             Stage::Disseminate => {
@@ -251,28 +224,6 @@ impl UncoloredGcast {
                 }
             }
         }
-    }
-}
-
-impl Protocol for UncoloredGcast {
-    type Message = GcastMsg;
-    type Output = GcastOutput;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<GcastMsg> {
-        self.act_any(ctx)
-    }
-
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<GcastMsg>>) {
-        act_batch_buffered(batch, ctx, out, |p| p.min_draws(), |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, GcastMsg>) {
-        self.feedback_any(ctx, fb);
-    }
-
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, GcastMsg>) {
-        // Reserve 0 exactly: the feedback body never draws.
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, sctx, f| p.feedback_any(sctx, f));
     }
 
     fn is_complete(&self) -> bool {

@@ -15,10 +15,7 @@
 //! for direct evaluation (experiment E1).
 
 use crate::params::CountSchedule;
-use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Feedback, FeedbackBatch,
-    LocalChannel, NodeId, Protocol, SlotCtx,
-};
+use crn_sim::{Action, Feedback, LocalChannel, NodeId, Protocol, SlotCtx};
 use rand::{Rng, RngCore};
 
 /// The role a node plays in one COUNT execution.
@@ -77,9 +74,8 @@ impl CountInstance {
         1.0 / (1u64 << self.round.min(62)) as f64
     }
 
-    /// For broadcasters: decide whether to transmit this slot. Generic
-    /// over the random source (scalar RNG or a buffered view — identical
-    /// streams).
+    /// For broadcasters: decide whether to transmit this slot (one word
+    /// of `rng`).
     ///
     /// # Panics
     /// Panics if called on a listener or a finished instance.
@@ -171,10 +167,13 @@ impl CountProtocol {
     pub fn estimate(&self) -> u64 {
         self.instance.estimate()
     }
+}
 
-    /// The act body, generic over the random source so the scalar and
-    /// batched paths share one implementation.
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<NodeId> {
+impl Protocol for CountProtocol {
+    type Message = NodeId;
+    type Output = CountOutput;
+
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<NodeId> {
         match self.instance.role() {
             Role::Broadcaster => {
                 if self.instance.should_broadcast(ctx.rng) {
@@ -187,15 +186,7 @@ impl CountProtocol {
         }
     }
 
-    /// Exact word count [`CountProtocol::act_any`] draws this slot: one
-    /// transmission coin for a live broadcaster, none for a listener.
-    fn draws_this_slot(&self) -> usize {
-        (self.instance.role() == Role::Broadcaster && !self.instance.is_done()) as usize
-    }
-
-    /// The feedback body — RNG-free and slot-free, shared by the scalar
-    /// and batched delivery paths.
-    fn feedback_any(&mut self, fb: Feedback<'_, NodeId>) {
+    fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, NodeId>) {
         if self.instance.role() == Role::Listener {
             match fb {
                 Feedback::Heard(id) => {
@@ -206,29 +197,6 @@ impl CountProtocol {
             }
         }
         self.instance.finish_slot();
-    }
-}
-
-impl Protocol for CountProtocol {
-    type Message = NodeId;
-    type Output = CountOutput;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<NodeId> {
-        self.act_any(ctx)
-    }
-
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<NodeId>>) {
-        act_batch_buffered(batch, ctx, out, |p| p.draws_this_slot(), |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, NodeId>) {
-        self.feedback_any(fb);
-    }
-
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, NodeId>) {
-        // Reserve 0 exactly: the feedback body never draws (nor reads the
-        // slot clock — the schedule core keeps its own position).
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, _sctx, f| p.feedback_any(f));
     }
 
     fn is_complete(&self) -> bool {

@@ -10,11 +10,7 @@
 
 use crate::params::SeekSchedule;
 use crate::seek::{SeekCore, SeekSlotPlan};
-use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Feedback, FeedbackBatch, NodeId,
-    Protocol, SlotCtx,
-};
-use rand::RngCore;
+use crn_sim::{Action, Feedback, NodeId, Protocol, SlotCtx};
 use std::collections::BTreeMap;
 
 /// A message carrying the sender's identity plus an arbitrary payload.
@@ -60,10 +56,13 @@ impl<T: Clone> Exchange<T> {
     pub fn received_count(&self) -> usize {
         self.received.len()
     }
+}
 
-    /// The act body, generic over the random source so the scalar and
-    /// batched paths share one implementation.
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<Envelope<T>> {
+impl<T: Clone> Protocol for Exchange<T> {
+    type Message = Envelope<T>;
+    type Output = ExchangeOutput<T>;
+
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<Envelope<T>> {
         match self.core.plan_slot(ctx.rng) {
             None => Action::Sleep,
             Some(SeekSlotPlan::Transmit { channel }) => Action::Broadcast {
@@ -75,9 +74,7 @@ impl<T: Clone> Exchange<T> {
         }
     }
 
-    /// The feedback body — RNG-free and slot-free, shared by the scalar
-    /// and batched delivery paths.
-    fn feedback_any(&mut self, fb: Feedback<'_, Envelope<T>>) {
+    fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, Envelope<T>>) {
         if self.core.is_done() {
             return;
         }
@@ -92,33 +89,6 @@ impl<T: Clone> Exchange<T> {
             Feedback::Sent | Feedback::Slept => {}
         }
         self.core.finish_slot();
-    }
-}
-
-impl<T: Clone> Protocol for Exchange<T> {
-    type Message = Envelope<T>;
-    type Output = ExchangeOutput<T>;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<Envelope<T>> {
-        self.act_any(ctx)
-    }
-
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<Envelope<T>>>) {
-        act_batch_buffered(batch, ctx, out, |p| p.core.min_draws(), |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, Envelope<T>>) {
-        self.feedback_any(fb);
-    }
-
-    fn feedback_batch(
-        batch: &mut [Self],
-        ctx: &mut BatchCtx<'_>,
-        fb: FeedbackBatch<'_, Envelope<T>>,
-    ) {
-        // Reserve 0 exactly: the feedback body never draws (nor reads the
-        // slot clock — the seek core keeps its own position).
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, _sctx, f| p.feedback_any(f));
     }
 
     fn is_complete(&self) -> bool {

@@ -22,10 +22,7 @@
 use crate::count::{CountInstance, Role};
 use crate::discovery::{DiscoveryOutput, DiscoveryProtocol};
 use crate::params::SeekSchedule;
-use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Feedback, FeedbackBatch,
-    LocalChannel, NodeId, Protocol, SlotCtx,
-};
+use crn_sim::{Action, Feedback, LocalChannel, NodeId, Protocol, SlotCtx};
 use rand::{Rng, RngCore};
 use std::collections::BTreeMap;
 
@@ -133,26 +130,8 @@ impl SeekCore {
         self.role
     }
 
-    /// An exact lower bound on the RNG words [`SeekCore::plan_slot`] will
-    /// draw this slot, computable before any drawing: 2 on a step-init slot
-    /// (role coin + channel choice; a data-dependent third word follows
-    /// when the role comes up broadcaster), 1 for a known broadcaster's
-    /// transmission coin, 0 for a known listener or a finished schedule.
-    /// This is the [`BatchCtx::buffered`] reserve the batched act paths
-    /// pre-fill in one bulk draw.
-    pub fn min_draws(&self) -> usize {
-        match self.phase {
-            SeekPhase::Done => 0,
-            _ if !self.step_initialized => 2,
-            _ => (self.role == Role::Broadcaster) as usize,
-        }
-    }
-
-    /// Plans the current slot; returns `None` once the schedule is done.
-    ///
-    /// Generic over the random source: the scalar path passes the node's
-    /// raw RNG, the batched path a pre-filled buffered view of it — both
-    /// consume the identical word stream.
+    /// Plans the current slot, drawing from the node's private `rng`;
+    /// returns `None` once the schedule is done.
     pub fn plan_slot<R: RngCore>(&mut self, rng: &mut R) -> Option<SeekSlotPlan> {
         if self.phase == SeekPhase::Done {
             return None;
@@ -318,11 +297,13 @@ impl CSeek {
     pub fn core(&self) -> &SeekCore {
         &self.core
     }
+}
 
-    /// The act body, generic over the random source so the scalar and
-    /// batched paths share one implementation (and therefore one draw
-    /// sequence).
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<NodeId> {
+impl Protocol for CSeek {
+    type Message = NodeId;
+    type Output = DiscoveryOutput;
+
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<NodeId> {
         match self.core.plan_slot(ctx.rng) {
             None => Action::Sleep,
             Some(plan) => {
@@ -340,9 +321,7 @@ impl CSeek {
         }
     }
 
-    /// The feedback body, generic over the random source so the scalar and
-    /// batched delivery paths share one implementation (it draws nothing).
-    fn feedback_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>, fb: Feedback<'_, NodeId>) {
+    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, NodeId>) {
         if self.core.is_done() {
             return;
         }
@@ -355,32 +334,6 @@ impl CSeek {
             Feedback::Sent | Feedback::Slept => {}
         }
         self.core.finish_slot();
-    }
-}
-
-impl Protocol for CSeek {
-    type Message = NodeId;
-    type Output = DiscoveryOutput;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<NodeId> {
-        self.act_any(ctx)
-    }
-
-    /// Batched act: per node, the exact guaranteed draw count is pre-filled
-    /// in one bulk `fill_u64s` ([`SeekCore::min_draws`]); the data-dependent
-    /// transmission coin of a freshly-drawn broadcaster role falls through
-    /// to the raw stream. Bit-identical to the scalar path by construction.
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<NodeId>>) {
-        act_batch_buffered(batch, ctx, out, |p| p.core.min_draws(), |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, NodeId>) {
-        self.feedback_any(ctx, fb);
-    }
-
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, NodeId>) {
-        // Reserve 0 exactly: the feedback body never draws.
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, sctx, f| p.feedback_any(sctx, f));
     }
 
     fn is_complete(&self) -> bool {

@@ -28,10 +28,11 @@ pub trait RngCore {
     }
 
     /// Fills `dest` with consecutive outputs of [`RngCore::next_u64`] — the
-    /// bulk-draw entry point for batched consumers (the simulator's action
-    /// collection, Erdős–Rényi edge sampling). The stream is *identical* to
-    /// calling `next_u64` `dest.len()` times: implementations may only
-    /// optimize how the words are produced, never which words.
+    /// bulk-draw entry point for consumers that know their word count up
+    /// front (the simulator's Erdős–Rényi edge sampling). The stream is
+    /// *identical* to calling `next_u64` `dest.len()` times:
+    /// implementations may only optimize how the words are produced, never
+    /// which words.
     fn fill_u64s(&mut self, dest: &mut [u64]) {
         for word in dest {
             *word = self.next_u64();
@@ -46,73 +47,6 @@ impl<R: RngCore + ?Sized> RngCore for &mut R {
 
     fn fill_u64s(&mut self, dest: &mut [u64]) {
         (**self).fill_u64s(dest)
-    }
-}
-
-/// Inline prefill capacity of [`BufferedRng`]. Reserves beyond it are
-/// silently capped — the cap only shortens the prefill, never changes the
-/// stream (excess draws fall through to the source one word at a time).
-pub const BUFFERED_RNG_INLINE_WORDS: usize = 8;
-
-/// A buffered façade over an [`RngCore`]: up to `reserve` words (capped at
-/// [`BUFFERED_RNG_INLINE_WORDS`]) are drawn up front in one
-/// [`RngCore::fill_u64s`] call into an inline stack buffer, served first;
-/// any draw past the prefill falls through to the source. The observable
-/// stream is *identical* to using the source directly — the façade only
-/// changes how many times the source's state is loaded and stored, never
-/// which words come out — so batched consumers (the simulator's
-/// `act_batch` path) can amortize per-draw RNG state traffic without
-/// perturbing results.
-///
-/// The reserve must be a **lower bound** on the words actually consumed:
-/// over-reserving would pull words out of the source that an unbuffered
-/// consumer never draws, desynchronizing the stream. Under-consumption is
-/// caught by a debug assertion on drop.
-pub struct BufferedRng<'a, R: RngCore> {
-    src: &'a mut R,
-    words: [u64; BUFFERED_RNG_INLINE_WORDS],
-    len: u32,
-    pos: u32,
-}
-
-impl<'a, R: RngCore> BufferedRng<'a, R> {
-    /// Wraps `src`, pre-drawing `reserve.min(BUFFERED_RNG_INLINE_WORDS)`
-    /// words in one bulk call.
-    pub fn with_reserve(src: &'a mut R, reserve: usize) -> Self {
-        let n = reserve.min(BUFFERED_RNG_INLINE_WORDS);
-        let mut words = [0u64; BUFFERED_RNG_INLINE_WORDS];
-        src.fill_u64s(&mut words[..n]);
-        BufferedRng { src, words, len: n as u32, pos: 0 }
-    }
-
-    /// Pre-drawn words not yet consumed. Must reach 0 before drop: a
-    /// reserve that exceeds actual consumption breaks stream identity.
-    pub fn reserved_remaining(&self) -> usize {
-        (self.len - self.pos) as usize
-    }
-}
-
-impl<R: RngCore> RngCore for BufferedRng<'_, R> {
-    #[inline]
-    fn next_u64(&mut self) -> u64 {
-        if self.pos < self.len {
-            let word = self.words[self.pos as usize];
-            self.pos += 1;
-            word
-        } else {
-            self.src.next_u64()
-        }
-    }
-}
-
-impl<R: RngCore> Drop for BufferedRng<'_, R> {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.pos >= self.len || std::thread::panicking(),
-            "BufferedRng dropped with {} reserved word(s) unconsumed — the reserve must be a \
-             lower bound on the draws actually made, or the source stream desynchronizes",
-            self.len - self.pos
-        );
     }
 }
 
@@ -260,8 +194,7 @@ pub trait Rng: RngCore {
     /// Number of independent Bernoulli(`p`) trials up to and including the
     /// first success — the geometric distribution on `1, 2, 3, …` with mean
     /// `1/p` — sampled by inverse CDF from **exactly one** word of the
-    /// stream (so batched consumers can account for it in a
-    /// [`BufferedRng`] reserve).
+    /// stream.
     ///
     /// Sojourn-time processes (primary-user on/off channel models) draw
     /// their dwell times from this instead of hand-rolling inverse-CDF
@@ -372,55 +305,6 @@ mod tests {
             let f = rng.gen_range(1.5f64..2.5);
             assert!((1.5..2.5).contains(&f));
         }
-    }
-
-    #[test]
-    fn buffered_rng_is_stream_identical() {
-        // Buffered draws — including fall-through past the reserve — must
-        // reproduce the direct-draw stream exactly, and leave the source in
-        // the same state a direct consumer would.
-        let mut direct = SmallRng::seed_from_u64(77);
-        let mut src = SmallRng::seed_from_u64(77);
-        {
-            let mut buf = BufferedRng::with_reserve(&mut src, 3);
-            assert_eq!(buf.gen_bool(0.5), direct.gen_bool(0.5));
-            assert_eq!(buf.gen_range(0..13u16), direct.gen_range(0..13u16));
-            assert_eq!(buf.gen::<u64>(), direct.gen::<u64>());
-            assert_eq!(buf.reserved_remaining(), 0);
-            // Past the reserve: falls through to the source, same stream.
-            assert_eq!(buf.gen_range(0..1000u32), direct.gen_range(0..1000u32));
-        }
-        // The source must have advanced exactly as far as the direct RNG.
-        assert_eq!(src.next_u64(), direct.next_u64());
-    }
-
-    #[test]
-    fn buffered_rng_zero_reserve_is_passthrough() {
-        let mut direct = SmallRng::seed_from_u64(5);
-        let mut src = SmallRng::seed_from_u64(5);
-        {
-            let mut buf = BufferedRng::with_reserve(&mut src, 0);
-            for _ in 0..8 {
-                assert_eq!(buf.next_u64(), direct.next_u64());
-            }
-        }
-        assert_eq!(src.next_u64(), direct.next_u64());
-    }
-
-    #[test]
-    fn buffered_rng_caps_reserve_at_inline_capacity() {
-        // A reserve beyond the inline buffer prefills only the capacity;
-        // the rest falls through — the stream must stay identical and the
-        // source must not be over-advanced at drop time.
-        let mut direct = SmallRng::seed_from_u64(9);
-        let mut src = SmallRng::seed_from_u64(9);
-        {
-            let mut buf = BufferedRng::with_reserve(&mut src, BUFFERED_RNG_INLINE_WORDS + 5);
-            for _ in 0..BUFFERED_RNG_INLINE_WORDS + 5 {
-                assert_eq!(buf.next_u64(), direct.next_u64());
-            }
-        }
-        assert_eq!(src.next_u64(), direct.next_u64());
     }
 
     #[test]

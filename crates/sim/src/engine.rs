@@ -3,11 +3,10 @@
 //! Each slot runs a three-phase pipeline. Every phase has exactly one
 //! body, written once over `k` contiguous chunks of its input:
 //!
-//! 1. **Action collection**, over `k` node ranges. Each chunk collects its
-//!    nodes' actions through the bulk [`Protocol::act_batch`] entry point
-//!    (scalar [`Protocol::act`] per node by default; ported protocols draw
-//!    their randomness from pre-filled, stream-identical word buffers) into
-//!    its own channel-bucketed action table: local labels are translated
+//! 1. **Action collection**, over `k` node ranges. Each chunk calls
+//!    [`Protocol::act`] for each of its nodes, in node order, with the
+//!    node's own RNG stream, and sorts the actions into its own
+//!    channel-bucketed action table: local labels are translated
 //!    through a precomputed flat `(node, label) → dense channel` table,
 //!    per-channel populations are counted with epoch-stamped first-touch
 //!    detection (nothing is ever bulk-cleared), and a counting-sort scatter
@@ -23,12 +22,11 @@
 //!    private buffer that is scattered after the join; a single group
 //!    writes the outcomes in place.
 //! 3. **Feedback delivery**, over `k` node ranges: a counting sweep folds
-//!    each chunk's packed outcomes into a counter delta, then the bulk
-//!    [`Protocol::feedback_batch`] entry point (scalar
-//!    [`Protocol::feedback`] per node by default) hands each protocol its
-//!    outcome, with heard messages passed by reference out of the slot's
-//!    action buffer (the engine never clones a payload). The deltas merge
-//!    in chunk order to exactly the one-chunk totals.
+//!    each chunk's packed outcomes into a counter delta, then each node's
+//!    outcome is decoded and handed to [`Protocol::feedback`], with heard
+//!    messages passed by reference out of the slot's action buffer (the
+//!    engine never clones a payload). The deltas merge in chunk order to
+//!    exactly the one-chunk totals.
 //!
 //! `k` follows from the input alone, never from a clock: a
 //! [`Resolver::ParallelSharded`] engine on a network of at least 2048 nodes
@@ -101,9 +99,7 @@ use crate::bitset::{BitSet, Intersection};
 use crate::ids::{GlobalChannel, LocalChannel, NodeId, Slot};
 use crate::network::Network;
 use crate::pool::WorkerPool;
-use crate::protocol::{outcome, Action, BatchCtx, FeedbackBatch, NodeCtx, Protocol};
-#[cfg(test)]
-use crate::protocol::{Feedback, SlotCtx};
+use crate::protocol::{Action, Feedback, NodeCtx, Protocol, SlotCtx};
 use crate::rng::{channel_slot_rng, stream_rng};
 use crate::spectrum::{SpectrumDynamics, SpectrumState};
 use rand::rngs::SmallRng;
@@ -491,26 +487,46 @@ const BCAST_BIT: u32 = 1 << 31;
 /// `node_plan` sentinel for a sleeping node.
 const SLEEPING: u32 = u32::MAX;
 
-/// Per-node resolution results are packed into one `u32` each — the
-/// struct-of-arrays layout the million-node path needs (half the bytes and
-/// no discriminant branch in the scatter loops). Values below
-/// [`OC_MIN_SENTINEL`] mean `Heard(broadcaster)`: an *internal* id while a
-/// channel is being resolved, converted to the external id at the final
-/// write into `Engine::outcomes` so the delivery phase can borrow the
-/// message straight out of the action buffer.
-///
-/// The packing is public API since batched delivery
-/// ([`Protocol::feedback_batch`]) hands protocols the raw array; the
-/// canonical constants live in [`crate::protocol::outcome`] and are
-/// re-bound here under the engine's historical `OC_*` names. A node count
-/// must stay strictly below [`OC_MIN_SENTINEL`] so a broadcaster id can
-/// never alias a sentinel (asserted at construction).
-const OC_SENT: u32 = outcome::SENT;
-const OC_SLEPT: u32 = outcome::SLEPT;
-const OC_IDLE: u32 = outcome::IDLE;
-const OC_COLLISION: u32 = outcome::COLLISION;
-const OC_PU_BUSY: u32 = outcome::PU_BUSY;
-const OC_MIN_SENTINEL: u32 = outcome::MIN_SENTINEL;
+// Per-node resolution results are packed into one `u32` each — the
+// struct-of-arrays layout the million-node path needs (half the bytes and
+// no discriminant branch in the scatter loops). Values below
+// `OC_MIN_SENTINEL` mean `Heard(broadcaster)`: an *internal* id while a
+// channel is being resolved, converted to the external id at the final
+// write into `Engine::outcomes` so the delivery phase can borrow the
+// message straight out of the action buffer (`feedback_of`). A node count
+// must stay strictly below `OC_MIN_SENTINEL` so a broadcaster id can never
+// alias a sentinel (asserted at construction).
+
+/// The node broadcast this slot.
+const OC_SENT: u32 = u32::MAX;
+/// The node slept this slot.
+const OC_SLEPT: u32 = u32::MAX - 1;
+/// The node listened and no neighbor broadcast on its channel.
+const OC_IDLE: u32 = u32::MAX - 2;
+/// The node listened and ≥ 2 neighbors broadcast on its channel.
+const OC_COLLISION: u32 = u32::MAX - 3;
+/// The node listened on a channel occupied by primary-user traffic.
+const OC_PU_BUSY: u32 = u32::MAX - 4;
+/// Smallest sentinel value: every outcome below it is a broadcaster id,
+/// i.e. an actual delivery.
+const OC_MIN_SENTINEL: u32 = OC_PU_BUSY;
+
+/// Decodes a node's packed outcome into the [`Feedback`] it receives. A
+/// delivery borrows the broadcaster's message in place out of the slot's
+/// full action buffer (broadcaster ids are external, so they index it
+/// from any chunk).
+#[inline]
+fn feedback_of<M>(oc: u32, actions: &[Action<M>]) -> Feedback<'_, M> {
+    match oc {
+        OC_SENT => Feedback::Sent,
+        OC_SLEPT => Feedback::Slept,
+        OC_IDLE | OC_COLLISION | OC_PU_BUSY => Feedback::Silence,
+        b => match &actions[b as usize] {
+            Action::Broadcast { message, .. } => Feedback::Heard(message),
+            _ => unreachable!("resolved broadcaster must be broadcasting"),
+        },
+    }
+}
 
 /// Converts a resolved outcome to external ids: a `Heard` source goes
 /// through the inverse permutation, sentinels pass unchanged.
@@ -928,7 +944,7 @@ fn translate_label(xlate: &[u32], c: usize, v: usize, channel: LocalChannel) -> 
 }
 
 /// Phase-1 work for one contiguous node chunk `[base, base + len)`:
-/// collect the chunk's actions through [`Protocol::act_batch`], translate
+/// collect the chunk's actions through [`Protocol::act`], translate
 /// and count them into the chunk's channel table, and counting-sort the
 /// chunk's nodes into its per-channel buckets. Identical on the calling
 /// thread and on a pool worker; touches only the chunk's disjoint slices
@@ -949,9 +965,9 @@ fn collect_chunk<P: Protocol>(
     let CollectShard { out, table, .. } = shard;
     out.clear();
     table.begin();
-    let mut ctx = BatchCtx::new(slot, rngs);
-    P::act_batch(protos, &mut ctx, out);
-    assert_eq!(out.len(), protos.len(), "act_batch must emit one action per node");
+    for (p, rng) in protos.iter_mut().zip(rngs) {
+        out.push(p.act(&mut SlotCtx { slot, rng }));
+    }
 
     let (mut nb, mut nl, mut ns) = (0u64, 0u64, 0u64);
     for (i, action) in out.iter().enumerate() {
@@ -1871,11 +1887,12 @@ impl<'net, P: Protocol> Engine<'net, P> {
     }
 
     /// Phase 3 over `k` contiguous node chunks of (protocols, RNG streams,
-    /// outcomes): each chunk folds its counter delta and runs
-    /// `feedback_batch`, reading the *full* slot action buffer (broadcaster
-    /// ids are global). A node's feedback depends only on its own outcome,
-    /// the action buffer and its own RNG stream, and the deltas merge in
-    /// chunk order, so the result is bit-identical at any `k`.
+    /// outcomes): each chunk folds its counter delta and hands each node
+    /// its decoded outcome, reading the *full* slot action buffer
+    /// (broadcaster ids are global). A node's feedback depends only on its
+    /// own outcome, the action buffer and its own RNG stream, and the
+    /// deltas merge in chunk order, so the result is bit-identical at any
+    /// `k`.
     fn deliver(&mut self, k: usize, slot: Slot)
     where
         P: Send,
@@ -1893,8 +1910,9 @@ impl<'net, P: Protocol> Engine<'net, P> {
             .zip(deliver.iter_mut());
         fork_join(pool.as_mut(), tasks, |_, (((protos, rngs), outc), delta)| {
             **delta = count_outcomes(outc);
-            let mut ctx = BatchCtx::new(slot, rngs);
-            P::feedback_batch(protos, &mut ctx, FeedbackBatch::new(outc, actions));
+            for ((p, rng), &oc) in protos.iter_mut().zip(rngs.iter_mut()).zip(outc.iter()) {
+                p.feedback(&mut SlotCtx { slot, rng }, feedback_of(oc, actions));
+            }
         });
         for d in deliver.iter() {
             counters.apply(*d);
@@ -2217,6 +2235,24 @@ mod tests {
         let mut eng = Engine::new(&net, 7, |_| Sleepy);
         eng.step();
         assert_eq!(eng.counters().sleeps, 3);
+    }
+
+    #[test]
+    fn packed_outcomes_decode_to_feedback() {
+        let actions: Vec<Action<u32>> = vec![
+            Action::Broadcast { channel: LocalChannel(0), message: 11 },
+            Action::Sleep,
+            Action::Broadcast { channel: LocalChannel(1), message: 22 },
+        ];
+        // Broadcaster ids index the full action buffer, whatever chunk the
+        // decoded outcome belongs to.
+        assert_eq!(feedback_of(OC_SENT, &actions), Feedback::Sent);
+        assert_eq!(feedback_of(OC_SLEPT, &actions), Feedback::Slept);
+        assert_eq!(feedback_of(OC_IDLE, &actions), Feedback::Silence);
+        assert_eq!(feedback_of(OC_COLLISION, &actions), Feedback::Silence);
+        assert_eq!(feedback_of(OC_PU_BUSY, &actions), Feedback::Silence);
+        assert_eq!(feedback_of(2, &actions), Feedback::Heard(&22));
+        const { assert!(OC_MIN_SENTINEL <= OC_PU_BUSY) };
     }
 
     #[test]

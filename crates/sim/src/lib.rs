@@ -77,8 +77,5 @@ pub use ids::{Edge, GlobalChannel, LocalChannel, NodeId, Slot};
 pub use network::{
     MemoryFootprint, Network, NetworkBuilder, NetworkError, NetworkStats, StatsMode,
 };
-pub use protocol::{
-    act_batch_buffered, feedback_batch_buffered, outcome, Action, BatchCtx, Feedback,
-    FeedbackBatch, NodeCtx, Protocol, SlotCtx,
-};
+pub use protocol::{Action, Feedback, NodeCtx, Protocol, SlotCtx};
 pub use spectrum::{SpectrumDynamics, SpectrumState};

@@ -14,45 +14,14 @@
 //! * zero broadcasters and ≥ 2 broadcasters are indistinguishable: both are
 //!   [`Feedback::Silence`] (no collision detection).
 //!
-//! For schedule-driven protocols the engine also offers a *batched* act
-//! path: [`Protocol::act_batch`] receives a contiguous slice of protocol
-//! instances plus a [`BatchCtx`] holding their private RNG streams, and the
-//! default implementation simply delegates to scalar [`Protocol::act`] per
-//! node — so every implementation keeps working, and the ones that opt in
-//! can amortize RNG state traffic through pre-filled word buffers
-//! ([`BatchCtx::buffered`], backed by the stream-identical
-//! [`rand::RngCore::fill_u64s`]). Whatever the path, the per-node draw
-//! sequence must be identical: the engine's differential tests compare the
-//! batched and scalar paths bit for bit.
+//! The engine drives every node through [`Protocol::act`] and
+//! [`Protocol::feedback`] only, one call each per slot, with the node's
+//! own RNG stream in the [`SlotCtx`]: a node's draws depend on nothing but
+//! its own state, so results do not depend on how the engine splits the
+//! node range across threads.
 
 use crate::ids::{LocalChannel, NodeId, Slot};
 use rand::rngs::SmallRng;
-use rand::{BufferedRng, RngCore};
-
-/// Packed per-node slot outcomes, as produced by the engine's resolution
-/// phase and consumed by feedback delivery ([`FeedbackBatch`]).
-///
-/// One `u32` per node per slot. Values below [`outcome::MIN_SENTINEL`] are
-/// the *external id* of the unique neighbor whose broadcast the node
-/// received (an index into the slot's action buffer); the topmost values
-/// are sentinels for the non-delivery outcomes. The packing keeps the
-/// per-node state at 4 bytes so the resolution sweep and the delivery
-/// sweep both run over one dense `u32` array.
-pub mod outcome {
-    /// The node broadcast this slot.
-    pub const SENT: u32 = u32::MAX;
-    /// The node slept this slot.
-    pub const SLEPT: u32 = u32::MAX - 1;
-    /// The node listened and no neighbor broadcast on its channel.
-    pub const IDLE: u32 = u32::MAX - 2;
-    /// The node listened and ≥ 2 neighbors broadcast on its channel.
-    pub const COLLISION: u32 = u32::MAX - 3;
-    /// The node listened on a channel occupied by primary-user traffic.
-    pub const PU_BUSY: u32 = u32::MAX - 4;
-    /// Smallest sentinel value: every outcome `< MIN_SENTINEL` is a
-    /// broadcaster id, i.e. an actual delivery.
-    pub const MIN_SENTINEL: u32 = PU_BUSY;
-}
 
 /// What a node decides to do in one slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,198 +103,11 @@ impl<'a, M> Feedback<'a, M> {
 /// The slot index is global knowledge (the model is synchronous with
 /// simultaneous start), and each node can "independently generate random
 /// bits" (paper §3) — hence one independent RNG per node.
-///
-/// Generic over the random source so a protocol's slot-planning code can be
-/// written once and driven either by the node's raw [`SmallRng`] (the
-/// scalar [`Protocol::act`] path — the default type parameter keeps that
-/// signature unchanged) or by a [`BufferedRng`] façade over it (the batched
-/// [`Protocol::act_batch`] path). Both produce the identical draw stream.
-pub struct SlotCtx<'a, R: RngCore = SmallRng> {
+pub struct SlotCtx<'a> {
     /// The current slot (identical at all nodes).
     pub slot: Slot,
     /// The node's private random stream for this execution.
-    pub rng: &'a mut R,
-}
-
-/// Batch context for [`Protocol::act_batch`]: the slot clock plus the
-/// private RNG streams of every node in the batch (index-aligned with the
-/// protocol slice).
-///
-/// Constructed by the engine, which hands each phase-1 and phase-3 chunk —
-/// the whole node range on a one-chunk engine, a contiguous sub-range per
-/// thread on a multi-chunk one — its own `BatchCtx`.
-pub struct BatchCtx<'a> {
-    slot: Slot,
-    rngs: &'a mut [SmallRng],
-}
-
-impl<'a> BatchCtx<'a> {
-    /// Builds a batch context over `rngs` (one stream per node in the
-    /// batch, in batch order).
-    pub fn new(slot: Slot, rngs: &'a mut [SmallRng]) -> BatchCtx<'a> {
-        BatchCtx { slot, rngs }
-    }
-
-    /// The current slot (identical at all nodes).
-    pub fn slot(&self) -> Slot {
-        self.slot
-    }
-
-    /// Number of nodes in the batch.
-    pub fn len(&self) -> usize {
-        self.rngs.len()
-    }
-
-    /// `true` if the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.rngs.is_empty()
-    }
-
-    /// The raw RNG stream of node `i` of the batch.
-    pub fn rng(&mut self, i: usize) -> &mut SmallRng {
-        &mut self.rngs[i]
-    }
-
-    /// A scalar [`SlotCtx`] for node `i` — the escape hatch the default
-    /// [`Protocol::act_batch`] uses to delegate to [`Protocol::act`].
-    pub fn slot_ctx(&mut self, i: usize) -> SlotCtx<'_> {
-        SlotCtx { slot: self.slot, rng: &mut self.rngs[i] }
-    }
-
-    /// A buffered view of node `i`'s stream with `reserve` words pre-drawn
-    /// in one bulk [`rand::RngCore::fill_u64s`] call (capped at the
-    /// façade's inline capacity). `reserve` must be a *lower bound* on the
-    /// words the caller will actually draw (draws past the prefill fall
-    /// through to the raw stream); the resulting draw sequence is
-    /// bit-identical to using [`BatchCtx::rng`] directly.
-    pub fn buffered(&mut self, i: usize, reserve: usize) -> BufferedRng<'_, SmallRng> {
-        BufferedRng::with_reserve(&mut self.rngs[i], reserve)
-    }
-}
-
-/// The slot's resolved outcomes for a contiguous batch of nodes, handed to
-/// [`Protocol::feedback_batch`] — the delivery-side mirror of [`BatchCtx`].
-///
-/// Wraps the engine's packed `u32` [`outcome`] array (index-aligned with
-/// the protocol batch) and the *full* slot action buffer, so a delivery
-/// outcome decodes to [`Feedback::Heard`] borrowing the broadcaster's
-/// message in place — zero clones, same as the scalar path. The outcome
-/// slice covers only this batch's node range; broadcaster ids inside it
-/// index the whole action buffer, which is why the two slices have
-/// different extents.
-pub struct FeedbackBatch<'a, M> {
-    outcomes: &'a [u32],
-    actions: &'a [Action<M>],
-}
-
-impl<'a, M> FeedbackBatch<'a, M> {
-    /// Builds a feedback batch over this batch's `outcomes` range and the
-    /// slot's full `actions` buffer.
-    pub fn new(outcomes: &'a [u32], actions: &'a [Action<M>]) -> FeedbackBatch<'a, M> {
-        FeedbackBatch { outcomes, actions }
-    }
-
-    /// Number of nodes in the batch.
-    pub fn len(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// `true` if the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.outcomes.is_empty()
-    }
-
-    /// The raw packed outcome of node `i` of the batch (see [`outcome`]).
-    pub fn outcome(&self, i: usize) -> u32 {
-        self.outcomes[i]
-    }
-
-    /// The batch's raw packed outcome range, for implementations that want
-    /// to sweep it directly (e.g. to count deliveries before dispatching).
-    pub fn outcomes(&self) -> &'a [u32] {
-        self.outcomes
-    }
-
-    /// The slot's full action buffer (broadcaster ids in
-    /// [`FeedbackBatch::outcomes`] index into it).
-    pub fn actions(&self) -> &'a [Action<M>] {
-        self.actions
-    }
-
-    /// Decodes node `i`'s outcome into the [`Feedback`] the scalar path
-    /// would deliver. The borrow lives as long as the action buffer, not
-    /// the accessor call.
-    pub fn feedback(&self, i: usize) -> Feedback<'a, M> {
-        match self.outcomes[i] {
-            outcome::SENT => Feedback::Sent,
-            outcome::SLEPT => Feedback::Slept,
-            outcome::IDLE | outcome::COLLISION | outcome::PU_BUSY => Feedback::Silence,
-            b => match &self.actions[b as usize] {
-                Action::Broadcast { message, .. } => Feedback::Heard(message),
-                _ => unreachable!("resolved broadcaster must be broadcasting"),
-            },
-        }
-    }
-}
-
-/// The shared body of every buffered [`Protocol::act_batch`] override:
-/// for each node of the batch, pre-fill `reserve(node)` words of its
-/// private stream in one bulk draw ([`BatchCtx::buffered`] — the reserve
-/// must be a *lower bound* on the node's actual draws) and run `act` over
-/// the buffered stream.
-///
-/// Ported protocols implement `act_batch` as one call to this, passing
-/// their `min_draws` state inspection and their generic act body — so the
-/// dispatch loop and the reserve contract live in exactly one place.
-pub fn act_batch_buffered<P, Reserve, Act>(
-    batch: &mut [P],
-    ctx: &mut BatchCtx<'_>,
-    out: &mut Vec<Action<P::Message>>,
-    reserve: Reserve,
-    mut act: Act,
-) where
-    P: Protocol,
-    Reserve: Fn(&P) -> usize,
-    Act: FnMut(&mut P, &mut SlotCtx<'_, BufferedRng<'_, SmallRng>>) -> Action<P::Message>,
-{
-    let slot = ctx.slot();
-    for (i, p) in batch.iter_mut().enumerate() {
-        let mut rng = ctx.buffered(i, reserve(p));
-        out.push(act(p, &mut SlotCtx { slot, rng: &mut rng }));
-    }
-}
-
-/// The shared body of every buffered [`Protocol::feedback_batch`] override:
-/// for each node of the batch, decode its outcome, pre-fill
-/// `reserve(node)` words of its private stream in one bulk draw (the
-/// reserve must be a *lower bound* on the words the node's feedback body
-/// will actually draw — most schedule-driven feedback paths draw zero, and
-/// data-dependent transition draws simply fall through the façade), and
-/// run `feedback` over the buffered stream.
-///
-/// Ported protocols implement `feedback_batch` as one call to this,
-/// passing their reserve inspection and their generic feedback body — the
-/// dispatch loop and the reserve contract live in exactly one place,
-/// mirroring [`act_batch_buffered`].
-pub fn feedback_batch_buffered<P, Reserve, Fb>(
-    batch: &mut [P],
-    ctx: &mut BatchCtx<'_>,
-    fb: FeedbackBatch<'_, P::Message>,
-    reserve: Reserve,
-    mut feedback: Fb,
-) where
-    P: Protocol,
-    Reserve: Fn(&P) -> usize,
-    Fb: FnMut(&mut P, &mut SlotCtx<'_, BufferedRng<'_, SmallRng>>, Feedback<'_, P::Message>),
-{
-    debug_assert_eq!(batch.len(), ctx.len(), "one RNG stream per batched node");
-    debug_assert_eq!(batch.len(), fb.len(), "one outcome per batched node");
-    let slot = ctx.slot();
-    for (i, p) in batch.iter_mut().enumerate() {
-        let f = fb.feedback(i);
-        let mut rng = ctx.buffered(i, reserve(p));
-        feedback(p, &mut SlotCtx { slot, rng: &mut rng }, f);
-    }
+    pub rng: &'a mut SmallRng,
 }
 
 /// Static, node-local information available when a protocol instance is
@@ -387,66 +169,10 @@ pub trait Protocol {
     /// order, before any feedback for the slot is delivered.
     fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<Self::Message>;
 
-    /// Decide one slot's actions for a contiguous batch of nodes: append
-    /// exactly `batch.len()` actions to `out`, one per instance in batch
-    /// order, drawing node `i`'s randomness only from stream `i` of `ctx`.
-    ///
-    /// This is the engine's phase-1 entry point, called once per
-    /// node-range chunk (the whole range, or one chunk per thread on a
-    /// multi-chunk engine).
-    /// The default implementation delegates to scalar [`Protocol::act`]
-    /// per node, so existing implementations keep working unchanged.
-    ///
-    /// An override must be **draw-for-draw identical** to the scalar path:
-    /// for every node it must consume exactly the words `act` would (the
-    /// [`BatchCtx::buffered`] reserve mechanism makes that automatic when
-    /// the reserve is a lower bound on the node's draws). The engine's
-    /// differential tests enforce this equivalence bit for bit.
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<Self::Message>>)
-    where
-        Self: Sized,
-    {
-        debug_assert_eq!(batch.len(), ctx.len(), "one RNG stream per batched node");
-        for (i, p) in batch.iter_mut().enumerate() {
-            let mut sctx = ctx.slot_ctx(i);
-            out.push(p.act(&mut sctx));
-        }
-    }
-
     /// Receive the observation for the slot. Called exactly once per slot
     /// after all nodes have acted. A heard message arrives by reference;
     /// clone it here if it must outlive the call.
     fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, Self::Message>);
-
-    /// Deliver one slot's observations to a contiguous batch of nodes:
-    /// node `i` of the batch receives the feedback decoded from outcome
-    /// `i` of `fb`, drawing any randomness only from stream `i` of `ctx`.
-    ///
-    /// This is the engine's phase-3 entry point, called once per
-    /// node-range chunk (the whole range, or one chunk per thread on a
-    /// multi-chunk engine).
-    /// The default implementation delegates to scalar
-    /// [`Protocol::feedback`] per node, so existing implementations keep
-    /// working unchanged.
-    ///
-    /// An override must be **draw-for-draw identical** to the scalar path
-    /// (same contract as [`Protocol::act_batch`]; the engine's
-    /// differential tests enforce the equivalence bit for bit).
-    fn feedback_batch(
-        batch: &mut [Self],
-        ctx: &mut BatchCtx<'_>,
-        fb: FeedbackBatch<'_, Self::Message>,
-    ) where
-        Self: Sized,
-    {
-        debug_assert_eq!(batch.len(), ctx.len(), "one RNG stream per batched node");
-        debug_assert_eq!(batch.len(), fb.len(), "one outcome per batched node");
-        for (i, p) in batch.iter_mut().enumerate() {
-            let f = fb.feedback(i);
-            let mut sctx = ctx.slot_ctx(i);
-            p.feedback(&mut sctx, f);
-        }
-    }
 
     /// `true` once the protocol's fixed schedule has finished. The engine
     /// stops early when every node is complete.
@@ -478,29 +204,6 @@ mod tests {
         assert_eq!(Feedback::<u32>::Silence.heard(), None);
         assert_eq!(Feedback::<u32>::Sent.heard(), None);
         assert_eq!(Feedback::<u32>::Slept.heard(), None);
-    }
-
-    #[test]
-    fn feedback_batch_decodes_every_outcome() {
-        let actions: Vec<Action<u32>> = vec![
-            Action::Broadcast { channel: LocalChannel(0), message: 11 },
-            Action::Sleep,
-            Action::Broadcast { channel: LocalChannel(1), message: 22 },
-        ];
-        // A batch covering a sub-range whose broadcaster ids index the
-        // full action buffer.
-        let outcomes =
-            [outcome::SENT, outcome::SLEPT, outcome::IDLE, outcome::COLLISION, outcome::PU_BUSY, 2];
-        let fb = FeedbackBatch::new(&outcomes, &actions);
-        assert_eq!(fb.len(), 6);
-        assert_eq!(fb.feedback(0), Feedback::Sent);
-        assert_eq!(fb.feedback(1), Feedback::Slept);
-        assert_eq!(fb.feedback(2), Feedback::Silence);
-        assert_eq!(fb.feedback(3), Feedback::Silence);
-        assert_eq!(fb.feedback(4), Feedback::Silence);
-        assert_eq!(fb.feedback(5), Feedback::Heard(&22));
-        assert_eq!(fb.outcome(5), 2);
-        const { assert!(outcome::MIN_SENTINEL <= outcome::PU_BUSY) };
     }
 
     #[test]

@@ -328,7 +328,11 @@ impl Sojourn {
     fn of(dynamics: &SpectrumDynamics) -> [Sojourn; 2] {
         match *dynamics {
             SpectrumDynamics::MarkovOnOff { p_busy, p_free } => {
-                [Sojourn::geometric(p_busy), Sojourn::geometric(p_free)]
+                let idle = Sojourn::geometric(p_busy);
+                // A symmetric chain (every duty-0.5 one) has one law for
+                // both states: build its table once.
+                let busy = if p_free == p_busy { idle.clone() } else { Sojourn::geometric(p_free) };
+                [idle, busy]
             }
             SpectrumDynamics::PoissonBursts { rate, mean_len } => {
                 // A burst arrives with probability 1 − exp(−rate) per slot.

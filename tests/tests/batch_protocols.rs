@@ -1,21 +1,17 @@
-//! Batch-vs-scalar differentials for every ported protocol in `crn-core`.
+//! Engine differentials for every protocol in `crn-core`.
 //!
-//! The engine always drives protocols through [`Protocol::act_batch`] and
-//! [`Protocol::feedback_batch`]; the ported implementations override both
-//! with buffered bulk draws that must be *draw-for-draw identical* to their
-//! scalar [`Protocol::act`] / [`Protocol::feedback`]. This file proves that
-//! per protocol: each one is run side by side with a [`ScalarOnly`] twin —
-//! a transparent wrapper that delegates everything *except* the two batch
-//! hooks, so the engine falls back to the default per-node scalar
-//! delegation for both — and the two executions must produce bit-identical
-//! counters and outputs on the same network and seed.
+//! The engine drives each node through [`Protocol::act`] and
+//! [`Protocol::feedback`], in node-range batches: one on a small network,
+//! one per thread on a sharded engine above the 2048-node pooling size.
+//! This file checks, per protocol, that neither the resolver nor the
+//! batching changes a single draw or delivery:
 //!
-//! Each protocol runs its full schedule on a small network, where every
-//! engine runs one chunk, and a prefix of the same schedule on a network
-//! above the engine's 2048-node pooling size, where sharded engines at
-//! threads {2, 3, 4} split collection and delivery into chunks — so the
-//! chunked dispatch of both batch hooks is exercised, including ragged
-//! chunk boundaries (the big network's 2053 nodes are prime).
+//! * the full schedule on a small network under `Resolver::Auto` must match
+//!   the naive reference resolver bit for bit (counters and outputs);
+//! * a prefix of the same schedule on a network above the pooling size must
+//!   match between one batch (`sharded(1)`) and threads {2, 3, 4}, which
+//!   split collection and delivery into chunks with ragged boundaries (the
+//!   big network's 2053 nodes are prime).
 
 use crn_core::baselines::{
     FixedRateDiscovery, FixedRateSchedule, NaiveBroadcast, NaiveDiscovery, NaiveDiscoverySchedule,
@@ -29,38 +25,8 @@ use crn_sim::channels::{shuffle_local_labels, ChannelModel};
 use crn_sim::rng::stream_rng;
 use crn_sim::topology::Topology;
 use crn_sim::{
-    Action, Counters, Engine, Feedback, LocalChannel, Network, NodeCtx, NodeId, Protocol, Resolver,
-    SlotCtx, StatsMode,
+    Counters, Engine, LocalChannel, Network, NodeCtx, NodeId, Protocol, Resolver, StatsMode,
 };
-
-/// A transparent protocol wrapper that forwards `act`, `feedback`,
-/// `is_complete`, and `into_output` — but deliberately **neither**
-/// `act_batch` **nor** `feedback_batch`, so the engine uses the trait's
-/// default scalar delegation for both batch hooks. Running `P` and
-/// `ScalarOnly<P>` side by side is therefore exactly a batched-vs-scalar
-/// differential for `P`'s act *and* feedback paths.
-struct ScalarOnly<P>(P);
-
-impl<P: Protocol> Protocol for ScalarOnly<P> {
-    type Message = P::Message;
-    type Output = P::Output;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<P::Message> {
-        self.0.act(ctx)
-    }
-
-    fn feedback(&mut self, ctx: &mut SlotCtx<'_>, fb: Feedback<'_, P::Message>) {
-        self.0.feedback(ctx, fb)
-    }
-
-    fn is_complete(&self) -> bool {
-        self.0.is_complete()
-    }
-
-    fn into_output(self) -> P::Output {
-        self.0.into_output()
-    }
-}
 
 fn build_net(topo: &Topology, model: &ChannelModel, seed: u64) -> Network {
     let mut rng = stream_rng(seed, 999);
@@ -112,55 +78,48 @@ where
     (eng.counters(), eng.into_outputs())
 }
 
-/// Runs `make`'s protocol batched and its [`ScalarOnly`] twin scalar and
-/// requires bit-identical counters and outputs:
+/// Runs `make`'s protocol and requires bit-identical counters and
+/// outputs:
 ///
-/// * over the full `slots`-slot schedule on `net`, where every engine
-///   runs one chunk;
-/// * over the first [`PREFIX`] slots on `big`, where the scalar twin on
-///   3 threads proves the chunked default delegation (any third-party
-///   protocol that overrides neither batch hook) and the batched protocol
-///   runs on one chunk and on threads {2, 4}.
-fn assert_batch_matches_scalar<P, F>(net: &Network, big: &Network, seed: u64, slots: u64, make: F)
+/// * over the full `slots`-slot schedule on `net`, under `Auto` against the
+///   naive reference resolver, both on one batch;
+/// * over the first [`PREFIX`] slots on `big`, at threads {2, 3, 4} against
+///   one batch (`sharded(1)`).
+fn assert_matches_reference<P, F>(net: &Network, big: &Network, seed: u64, slots: u64, make: F)
 where
     P: Protocol + Send,
     P::Message: Send + Sync,
     P::Output: PartialEq + std::fmt::Debug + Send,
     F: Fn(NodeCtx) -> P + Copy,
 {
-    let scalar = |ctx| ScalarOnly(make(ctx));
-    let (ref_counters, ref_outputs) = run(net, seed, Resolver::Auto, slots, scalar);
+    let (ref_counters, ref_outputs) = run(net, seed, Resolver::Naive, slots, make);
     let (counters, outputs) = run(net, seed, Resolver::Auto, slots, make);
-    assert_eq!(counters, ref_counters, "batched counters diverge from scalar");
-    assert_eq!(outputs, ref_outputs, "batched outputs diverge from scalar");
+    assert_eq!(counters, ref_counters, "Auto counters diverge from Naive");
+    assert_eq!(outputs, ref_outputs, "Auto outputs diverge from Naive");
 
-    let (ref_counters, ref_outputs) = run(big, seed, Resolver::Auto, PREFIX, scalar);
-    let (counters, outputs) = run(big, seed, Resolver::sharded(3), PREFIX, scalar);
-    assert_eq!(counters, ref_counters, "chunked scalar-delegation counters diverge");
-    assert_eq!(outputs, ref_outputs, "chunked scalar-delegation outputs diverge");
-    for threads in [1usize, 2, 4] {
+    let (ref_counters, ref_outputs) = run(big, seed, Resolver::sharded(1), PREFIX, make);
+    for threads in [2usize, 3, 4] {
         let (counters, outputs) = run(big, seed, Resolver::sharded(threads), PREFIX, make);
         assert_eq!(
             counters, ref_counters,
-            "batched counters diverge from scalar on {BIG_N} nodes, {threads} threads"
+            "counters diverge from one batch on {BIG_N} nodes, {threads} threads"
         );
         assert_eq!(
             outputs, ref_outputs,
-            "batched outputs diverge from scalar on {BIG_N} nodes, {threads} threads"
+            "outputs diverge from one batch on {BIG_N} nodes, {threads} threads"
         );
     }
 }
 
 #[test]
 fn cseek_batch_matches_scalar() {
-    // n = 13 with 3 chunks gives ragged chunk boundaries; history recording
-    // on so the full output surface is compared.
+    // History recording on so the full output surface is compared.
     let model = ChannelModel::SharedCore { c: 4, core: 2 };
     let net = build_net(&Topology::RandomGeometric { n: 13, radius: 0.5 }, &model, 5);
     let m = ModelInfo::from_stats(&net.stats());
     let sched = SeekParams::default().schedule(&m);
     let big = big_net(&model, 5);
-    assert_batch_matches_scalar(&net, &big, 31, sched.total_slots(), |ctx: NodeCtx| {
+    assert_matches_reference(&net, &big, 31, sched.total_slots(), |ctx: NodeCtx| {
         CSeek::new(ctx.id, sched, true)
     });
 }
@@ -173,7 +132,7 @@ fn cgcast_batch_matches_scalar() {
     let d = net.stats().diameter.expect("connected network");
     let sched = GcastParams { dissemination_phases: d.max(1), ..Default::default() }.schedule(&m);
     let big = big_net(&model, 6);
-    assert_batch_matches_scalar(&net, &big, 19, sched.total_slots(), |ctx: NodeCtx| {
+    assert_matches_reference(&net, &big, 19, sched.total_slots(), |ctx: NodeCtx| {
         CGCast::new(ctx.id, sched, (ctx.id == NodeId(0)).then_some(0xfeed))
     });
 }
@@ -189,7 +148,7 @@ fn uncolored_gcast_batch_matches_scalar() {
     let big = big_net(&model, 2);
     // The uncolored variant's schedule is shorter than total_slots; running
     // to protocol completion covers the whole state machine.
-    assert_batch_matches_scalar(&net, &big, 23, sched.total_slots(), |ctx: NodeCtx| {
+    assert_matches_reference(&net, &big, 23, sched.total_slots(), |ctx: NodeCtx| {
         UncoloredGcast::new(ctx.id, sched, (ctx.id == NodeId(0)).then_some(0xfeed))
     });
 }
@@ -217,7 +176,7 @@ fn count_batch_matches_scalar() {
         k: 1,
         kmax: 1,
     });
-    assert_batch_matches_scalar(&net, &big, 41, sched.total_slots(), |ctx: NodeCtx| {
+    assert_matches_reference(&net, &big, 41, sched.total_slots(), |ctx: NodeCtx| {
         let role = if ctx.id == NodeId(0) { Role::Listener } else { Role::Broadcaster };
         CountProtocol::new(ctx.id, role, sched, LocalChannel(0))
     });
@@ -231,17 +190,17 @@ fn baselines_batch_match_scalar() {
     let big = big_net(&model, 9);
 
     let naive = NaiveDiscoverySchedule::new(&m, 2.0);
-    assert_batch_matches_scalar(&net, &big, 51, naive.total_slots(), |ctx: NodeCtx| {
+    assert_matches_reference(&net, &big, 51, naive.total_slots(), |ctx: NodeCtx| {
         NaiveDiscovery::new(ctx.id, naive)
     });
 
     let fixed = FixedRateSchedule::new(&m, 2.0);
-    assert_batch_matches_scalar(&net, &big, 52, fixed.total_slots(), |ctx: NodeCtx| {
+    assert_matches_reference(&net, &big, 52, fixed.total_slots(), |ctx: NodeCtx| {
         FixedRateDiscovery::new(ctx.id, fixed)
     });
 
     let slots = NaiveBroadcast::schedule_slots(&m, 3, 2.0);
-    assert_batch_matches_scalar(&net, &big, 53, slots, |ctx: NodeCtx| {
+    assert_matches_reference(&net, &big, 53, slots, |ctx: NodeCtx| {
         NaiveBroadcast::new(ctx.id, m.c as u16, slots, (ctx.id == NodeId(0)).then_some(42))
     });
 }
@@ -253,7 +212,7 @@ fn exchange_batch_matches_scalar() {
     let m = ModelInfo::from_stats(&net.stats());
     let sched = SeekParams::default().schedule(&m);
     let big = big_net(&model, 1);
-    assert_batch_matches_scalar(&net, &big, 17, sched.total_slots(), |ctx: NodeCtx| {
+    assert_matches_reference(&net, &big, 17, sched.total_slots(), |ctx: NodeCtx| {
         Exchange::new(ctx.id, sched, vec![ctx.id.0; 2])
     });
 }

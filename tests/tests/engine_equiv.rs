@@ -16,25 +16,21 @@
 //! legs here therefore run on [`BIG_N`]-node networks, whose prime size
 //! leaves a ragged final chunk at every thread count.
 //!
-//! The same standard applies to the *batched act and feedback pipelines*:
-//! a protocol's [`Protocol::act_batch`] / [`Protocol::feedback_batch`]
-//! overrides (buffered bulk draws) must be draw-for-draw identical to the
-//! scalar [`Protocol::act`] / [`Protocol::feedback`], and the engine's
-//! multi-chunk collection (node-range chunks on the worker pool, merged by
-//! prefix-sum) and delivery (same chunking, per-chunk counter deltas merged
-//! in chunk order) must be bit-identical to one chunk — all enforced here
-//! by running a batched protocol against a scalar-only twin below and above
-//! the pooling size, under static and dynamic spectrum alike.
+//! The same standard applies to the engine's multi-chunk collection
+//! (node-range chunks on the worker pool, each calling [`Protocol::act`]
+//! per node, merged by prefix-sum) and delivery (same chunking, each chunk
+//! decoding its outcomes into [`Protocol::feedback`] calls, per-chunk
+//! counter deltas merged in chunk order): both must be bit-identical to one
+//! chunk, under static and dynamic spectrum alike.
 
 use crn_sim::channels::ChannelModel;
 use crn_sim::engine::Resolver;
 use crn_sim::topology::Topology;
 use crn_sim::{
-    act_batch_buffered, feedback_batch_buffered, Action, BatchCtx, Counters, Engine, Feedback,
-    FeedbackBatch, GlobalChannel, LocalChannel, Network, NodeCtx, Protocol, SlotCtx,
-    SpectrumDynamics, StatsMode,
+    Action, Counters, Engine, Feedback, GlobalChannel, LocalChannel, Network, NodeCtx, Protocol,
+    SlotCtx, SpectrumDynamics, StatsMode,
 };
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Owned snapshot of one slot's feedback, so whole traces can be compared.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +51,11 @@ struct Chatter {
     trace: Vec<Obs>,
 }
 
-impl Chatter {
-    fn act_any<R: RngCore>(&mut self, ctx: &mut SlotCtx<'_, R>) -> Action<u64> {
+impl Protocol for Chatter {
+    type Message = u64;
+    type Output = Vec<Obs>;
+
+    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u64> {
         let channel = LocalChannel(ctx.rng.gen_range(0..self.c));
         if ctx.rng.gen_bool(self.p_bcast) {
             // Message encodes (sender, slot) so a delivery from the wrong
@@ -69,43 +68,13 @@ impl Chatter {
         }
     }
 
-    fn record(&mut self, fb: Feedback<'_, u64>) {
+    fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, u64>) {
         self.trace.push(match fb {
             Feedback::Sent => Obs::Sent,
             Feedback::Heard(m) => Obs::Heard(*m),
             Feedback::Silence => Obs::Silence,
             Feedback::Slept => Obs::Slept,
         });
-    }
-}
-
-impl Protocol for Chatter {
-    type Message = u64;
-    type Output = Vec<Obs>;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u64> {
-        self.act_any(ctx)
-    }
-
-    /// Batched act with buffered draws: channel word + role word are
-    /// guaranteed every slot (the listen/sleep coin is data-dependent and
-    /// falls through to the raw stream). Must be draw-for-draw identical
-    /// to the scalar path — that is exactly what the differentials below
-    /// check against [`ScalarChatter`].
-    fn act_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, out: &mut Vec<Action<u64>>) {
-        act_batch_buffered(batch, ctx, out, |_| 2, |p, sctx| p.act_any(sctx));
-    }
-
-    fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, u64>) {
-        self.record(fb);
-    }
-
-    /// Batched feedback: the recording body never draws, so reserve 0 is
-    /// exact. Every differential in this file that pits [`Chatter`]
-    /// against [`ScalarChatter`] therefore also proves the batched
-    /// delivery path (sequential and pooled) against scalar delegation.
-    fn feedback_batch(batch: &mut [Self], ctx: &mut BatchCtx<'_>, fb: FeedbackBatch<'_, u64>) {
-        feedback_batch_buffered(batch, ctx, fb, |_| 0, |p, _sctx, f| p.record(f));
     }
 
     fn is_complete(&self) -> bool {
@@ -114,34 +83,6 @@ impl Protocol for Chatter {
 
     fn into_output(self) -> Vec<Obs> {
         self.trace
-    }
-}
-
-/// [`Chatter`]'s scalar-only twin: byte-for-byte the same state machine,
-/// but *without* the `act_batch` / `feedback_batch` overrides, so the
-/// engine drives it through the default per-node delegation on both batch
-/// hooks. Any divergence between the two is a bug in the batched pipeline
-/// (buffered draws, pooled collection, or pooled delivery).
-struct ScalarChatter(Chatter);
-
-impl Protocol for ScalarChatter {
-    type Message = u64;
-    type Output = Vec<Obs>;
-
-    fn act(&mut self, ctx: &mut SlotCtx<'_>) -> Action<u64> {
-        self.0.act_any(ctx)
-    }
-
-    fn feedback(&mut self, _ctx: &mut SlotCtx<'_>, fb: Feedback<'_, u64>) {
-        self.0.record(fb);
-    }
-
-    fn is_complete(&self) -> bool {
-        false
-    }
-
-    fn into_output(self) -> Vec<Obs> {
-        self.0.trace
     }
 }
 
@@ -326,39 +267,36 @@ fn pooled_engine_stays_in_lockstep_with_naive_across_steps() {
     }
 }
 
-/// Steps a scalar-twin reference on the naive resolver and a batched
-/// [`Chatter`] engine on `resolver` in lockstep, requiring equal counters
-/// after **every** slot and equal feedback traces at the end. This pins
-/// any divergence (an over-reserved word buffer, a mis-merged bucket, a
-/// chunk boundary error, a mis-decoded outcome word, a counter delta
-/// merged out of order, a chunk handed the wrong RNG lane) to the exact
-/// slot where it first appears.
-fn assert_batched_lockstep(net: &Network, seed: u64, resolver: Resolver, slots: u64) {
+/// Steps a reference engine on the naive resolver and an engine on
+/// `resolver` in lockstep, requiring equal counters after **every** slot
+/// and equal feedback traces at the end. This pins any divergence (a
+/// mis-merged bucket, a chunk boundary error, a mis-decoded outcome word,
+/// a counter delta merged out of order, a chunk handed the wrong RNG lane)
+/// to the exact slot where it first appears.
+fn assert_lockstep_with_naive(net: &Network, seed: u64, resolver: Resolver, slots: u64) {
     let c = net.channels_per_node() as u16;
     let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
-    let mut reference =
-        Engine::with_resolver(net, seed, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
-    let mut batched = Engine::with_resolver(net, seed, resolver, chatter);
+    let mut reference = Engine::with_resolver(net, seed, Resolver::Naive, chatter);
+    let mut eng = Engine::with_resolver(net, seed, resolver, chatter);
     let n = net.len();
     for slot in 0..slots {
         reference.step();
-        batched.step();
+        eng.step();
         assert_eq!(
-            batched.counters(),
+            eng.counters(),
             reference.counters(),
             "n={n} {resolver:?}: counters diverge after slot {slot}"
         );
     }
-    let (mut ref_traces, mut batched_traces) = (Vec::new(), Vec::new());
-    reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
-    batched.for_each_protocol(|_, p| batched_traces.push(p.trace.clone()));
-    assert_eq!(batched_traces, ref_traces, "n={n} {resolver:?}: feedback traces diverge");
+    let (mut ref_traces, mut traces) = (Vec::new(), Vec::new());
+    reference.for_each_protocol(|_, p| ref_traces.push(p.trace.clone()));
+    eng.for_each_protocol(|_, p| traces.push(p.trace.clone()));
+    assert_eq!(traces, ref_traces, "n={n} {resolver:?}: feedback traces diverge");
 }
 
-/// Batch-vs-scalar lockstep differential for the whole pipeline: the
-/// batched protocol on the one-chunk path (a small network) and on
-/// multi-chunk collection and delivery at threads {2, 4, 8} (a network
-/// above the pooling size) must agree with the scalar-only twin on a naive
+/// Lockstep differential for the whole pipeline: the one-chunk path (a
+/// small network) and multi-chunk collection and delivery at threads
+/// {2, 4, 8} (a network above the pooling size) must agree with a naive
 /// engine after every slot.
 #[test]
 fn batched_pipeline_stays_in_lockstep_with_scalar() {
@@ -367,17 +305,17 @@ fn batched_pipeline_stays_in_lockstep_with_scalar() {
         &ChannelModel::SharedCore { c: 4, core: 2 },
         77,
     );
-    assert_batched_lockstep(&small, 21, Resolver::ParallelSharded { threads: 1 }, 72);
+    assert_lockstep_with_naive(&small, 21, Resolver::ParallelSharded { threads: 1 }, 72);
     let big = big_network(77);
     for threads in POOLED_THREADS {
-        assert_batched_lockstep(&big, 21, Resolver::ParallelSharded { threads }, 32);
+        assert_lockstep_with_naive(&big, 21, Resolver::ParallelSharded { threads }, 32);
     }
 }
 
-/// Phase-3 twin differential: the batched feedback path must agree with
-/// the scalar-delegation twin on a naive engine after every slot, on one
-/// chunk (a small network) and on odd thread counts {3, 7} above the
-/// pooling size, where every delivery chunk boundary is ragged.
+/// Phase-3 lockstep differential: delivery must agree with a naive engine
+/// after every slot, on one chunk (a small network) and on odd thread
+/// counts {3, 7} above the pooling size, where every delivery chunk
+/// boundary is ragged.
 #[test]
 fn batched_feedback_stays_in_lockstep_with_scalar() {
     let small = build_network(
@@ -385,17 +323,17 @@ fn batched_feedback_stays_in_lockstep_with_scalar() {
         &ChannelModel::SharedCore { c: 4, core: 2 },
         303,
     );
-    assert_batched_lockstep(&small, 13, Resolver::ParallelSharded { threads: 1 }, 72);
+    assert_lockstep_with_naive(&small, 13, Resolver::ParallelSharded { threads: 1 }, 72);
     let big = big_network(303);
     for threads in [3usize, 7] {
-        assert_batched_lockstep(&big, 13, Resolver::ParallelSharded { threads }, 32);
+        assert_lockstep_with_naive(&big, 13, Resolver::ParallelSharded { threads }, 32);
     }
 }
 
 /// Dynamic-spectrum delivery differential: with a primary-user process
 /// installed, multi-chunk delivery must fold the `OC_PU_BUSY` outcome into
-/// **both** `collisions` and `pu_blocked_listens` exactly as the scalar
-/// path does, per slot, across thread counts. The final assertion that the
+/// **both** `collisions` and `pu_blocked_listens` exactly as one chunk
+/// does, per slot, across thread counts. The final assertion that the
 /// PU actually bit guards the test against silently probing nothing.
 #[test]
 fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
@@ -404,8 +342,7 @@ fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
     let chatter = |ctx: NodeCtx| Chatter { c, p_bcast: 0.5, id: ctx.id.0, trace: Vec::new() };
     let dyn_ = SpectrumDynamics::MarkovOnOff { p_busy: 0.25, p_free: 0.25 };
 
-    let mut reference =
-        Engine::with_resolver(&net, 33, Resolver::Naive, |ctx| ScalarChatter(chatter(ctx)));
+    let mut reference = Engine::with_resolver(&net, 33, Resolver::Naive, chatter);
     reference.set_spectrum(dyn_.clone());
 
     let mut others: Vec<(usize, Engine<'_, Chatter>)> = Vec::new();
@@ -432,7 +369,7 @@ fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
     assert!(counters.pu_blocked_listens > 0, "the PU must actually bite");
 
     let mut ref_traces = Vec::new();
-    reference.for_each_protocol(|_, p| ref_traces.push(p.0.trace.clone()));
+    reference.for_each_protocol(|_, p| ref_traces.push(p.trace.clone()));
     for (threads, eng) in &mut others {
         let mut traces = Vec::new();
         eng.for_each_protocol(|_, p| traces.push(p.trace.clone()));
@@ -444,9 +381,8 @@ fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
 /// scratch allocated on the first pooled slot survives [`Engine::reset`]
 /// by design and must be observationally invisible — one engine running
 /// twice back-to-back (at *different* thread counts, so the scratch is
-/// re-chunked and the pool re-sized) reproduces the naive scalar
-/// reference. [`BIG_N`] is prime, so both thread counts leave a ragged
-/// final chunk.
+/// re-chunked and the pool re-sized) reproduces the naive reference.
+/// [`BIG_N`] is prime, so both thread counts leave a ragged final chunk.
 #[test]
 fn pooled_delivery_survives_reset_and_odd_chunks() {
     let net = big_network(902);
@@ -679,12 +615,13 @@ fn spectrum_survives_engine_reset() {
     assert_eq!(eng.into_outputs(), traces2, "reused traces diverge from fresh");
 }
 
-/// Property over topology/channel-count/seed space: the scalar engine, the
-/// batched engine, and — on networks above the pooling size — the sharded
-/// engine at 2, 4, and 8 threads are bit-identical (counters *and* full
-/// per-slot feedback traces) on randomized networks. Below the pooling
-/// size a sharded engine runs the batched `Auto` path itself, so those
-/// cases compare the two act paths only.
+/// Property over topology/channel-count/seed space: the naive reference
+/// engine, the one-chunk `Auto` engine, and — on networks above the
+/// pooling size — the sharded engine at 2, 4, and 8 threads are
+/// bit-identical (counters *and* full per-slot feedback traces) on
+/// randomized networks. Below the pooling size a sharded engine runs the
+/// one-chunk `Auto` path itself, so those cases compare `Auto` with the
+/// reference only.
 mod sharded_equivalence_property {
     use super::*;
     use proptest::prelude::*;
@@ -697,23 +634,6 @@ mod sharded_equivalence_property {
             3 => Topology::ErdosRenyi { n: n.max(2), p: 0.2 },
             _ => Topology::RandomGeometric { n: n.max(2), radius: 0.4 },
         }
-    }
-
-    /// Like [`run`] but over the scalar-only twin protocol: the engine
-    /// takes the default per-node `act` delegation path.
-    fn run_scalar(
-        net: &Network,
-        resolver: Resolver,
-        seed: u64,
-        c: u16,
-        p_bcast: f64,
-        slots: u64,
-    ) -> (Counters, Vec<Vec<Obs>>) {
-        let mut eng = Engine::with_resolver(net, seed, resolver, |ctx| {
-            ScalarChatter(Chatter { c, p_bcast, id: ctx.id.0, trace: Vec::new() })
-        });
-        eng.run_to_completion(slots);
-        (eng.counters(), eng.into_outputs())
     }
 
     proptest! {
@@ -746,13 +666,12 @@ mod sharded_equivalence_property {
             };
             let c = net.channels_per_node() as u16;
             let slots = if pooled { 24 } else { 48 };
-            // Ground truth: scalar act path, one-chunk auto resolver.
+            // Ground truth: the naive reference resolver on one chunk.
             let (ref_counters, ref_traces) =
-                run_scalar(&net, Resolver::Auto, seed, c, p_bcast, slots);
-            // Batched act path on the same engine.
+                run(&net, Resolver::Naive, seed, c, p_bcast, slots);
             let (counters, traces) = run(&net, Resolver::Auto, seed, c, p_bcast, slots);
-            prop_assert_eq!(counters, ref_counters, "batched act diverges on counters");
-            prop_assert_eq!(&traces, &ref_traces, "batched act diverges on traces");
+            prop_assert_eq!(counters, ref_counters, "Auto diverges on counters");
+            prop_assert_eq!(&traces, &ref_traces, "Auto diverges on traces");
             if pooled {
                 for threads in POOLED_THREADS {
                     let resolver = Resolver::ParallelSharded { threads };

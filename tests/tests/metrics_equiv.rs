@@ -38,9 +38,8 @@ enum Obs {
 }
 
 /// Randomized traffic recording every feedback — the `engine_equiv.rs`
-/// chatter shape, scalar hooks only (the batched-vs-scalar differential
-/// lives there; here both twins use the same hooks and only the timer
-/// flag differs).
+/// chatter shape (here both twins run the same protocol and only the
+/// timer flag differs).
 struct Chatter {
     c: u16,
     id: u32,
