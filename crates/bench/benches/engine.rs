@@ -143,8 +143,8 @@ fn engine_throughput(criterion: &mut Criterion) {
 /// Small-slot regime: n = 200 on a sparse random graph, many slots — the
 /// amortized-cost scenario the paper's Ω(polylog n)-slot primitives live
 /// in, where per-slot overhead (not peak throughput) decides wall-clock.
-/// A pool hand-off costs more than such a slot's whole work, so below
-/// 2048 nodes a sharded engine never wakes its pool: the `sharded*` rows
+/// Spawning threads costs more than such a slot's whole work, so below
+/// 2048 nodes a sharded engine never splits a phase: the `sharded*` rows
 /// run the `auto` path and show that they do. The `auto`/`naive` rows are
 /// gated by `bench_regress`; the `sharded*` rows are tracked but exempt
 /// (see `SHARDED_EXEMPT` in `bench_regress`).
@@ -377,8 +377,8 @@ fn dense_broadcast(criterion: &mut Criterion) {
     for (rname, resolver) in [
         ("auto", Resolver::Auto),
         ("naive", Resolver::Naive),
-        // Every phase split across the worker pool (n = 5000 is above the
-        // engine's pooling size). Wall-clock gains require idle cores, so
+        // Every phase split across threads (n = 5000 is above the engine's
+        // split threshold). Wall-clock gains require idle cores, so
         // these rows are reported but not gated by bench_regress (see
         // `SHARDED_EXEMPT` there).
         ("sharded2", Resolver::ParallelSharded { threads: 2 }),

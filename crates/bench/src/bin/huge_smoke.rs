@@ -11,7 +11,7 @@
 //!   n²/8 = 1.25 GB at this size);
 //! * the engine's internal state (SoA node arrays, renumbering maps,
 //!   internal CSR, channel tables, per-chunk and per-group scratch) stays
-//!   linear, before and after every phase has run split on the pool;
+//!   linear, before and after every phase has run split across threads;
 //! * the *process peak RSS* (`VmHWM`) stays under a bound that any
 //!   quadratic term blows past by an order of magnitude — this catches
 //!   transient setup spikes that a post-hoc footprint sum cannot;

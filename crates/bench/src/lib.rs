@@ -1,7 +1,6 @@
 //! Shared helpers for the criterion benches and the `experiments` binary.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 use crn_core::params::ModelInfo;
 use crn_sim::channels::ChannelModel;

@@ -60,7 +60,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod adversary;
 pub mod baselines;

@@ -1,5 +1,4 @@
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 //! `crn-server`: a threaded HTTP/1.1 front-end for experiment campaigns —
 //! simulation-as-a-service on nothing but `std::net`.
@@ -31,10 +30,10 @@
 //!                                                       as WAL)
 //! ```
 //!
-//! The accept thread does nothing but hand sockets to a bounded worker
-//! set (the `WorkerPool` shape from `crn-sim`, rebuilt on blocking I/O);
-//! workers parse requests and take only short, bounded sections of the
-//! store lock, so status polls stay responsive while a campaign runs.
+//! The accept thread does nothing but hand sockets to a bounded set of
+//! worker threads that block on the connection queue; workers parse
+//! requests and take only short, bounded sections of the store lock, so
+//! status polls stay responsive while a campaign runs.
 //!
 //! # Restart safety
 //!

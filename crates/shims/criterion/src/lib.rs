@@ -14,8 +14,6 @@
 //! `BENCH_<binary>.json` in the working directory. Set `CRN_BENCH_QUICK=1`
 //! (or pass `--quick`) to cap sample counts for CI smoke runs.
 
-#![forbid(unsafe_code)]
-
 use std::fmt::Display;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};

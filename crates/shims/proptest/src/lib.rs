@@ -13,8 +13,6 @@
 //! and input generation is driven by the workspace's own deterministic
 //! xoshiro stream. Set `PROPTEST_SEED=<u64>` to vary the corpus.
 
-#![forbid(unsafe_code)]
-
 pub mod collection;
 pub mod strategy;
 

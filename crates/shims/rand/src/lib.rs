@@ -12,8 +12,6 @@
 //! across runs and platforms. No claim of statistical equivalence with the
 //! real `rand` crate is made (and none is needed — streams never mix).
 
-#![forbid(unsafe_code)]
-
 pub mod rngs;
 pub mod seq;
 

@@ -30,10 +30,10 @@
 //!
 //! `k` follows from the input alone, never from a clock: a
 //! [`Resolver::ParallelSharded`] engine on a network of at least 2048 nodes
-//! uses `k = threads` in every phase, chunk 0 on the calling thread and the
-//! rest on its persistent [`WorkerPool`] (one atomic-generation wake per
-//! phase — see [`crate::pool`]). Every other engine uses `k = 1`, which
-//! runs inline: no pool wake, no merge, no copy.
+//! uses `k = threads` in every phase, chunk 0 on the calling thread and
+//! chunks `1..k` on scoped threads ([`std::thread::scope`]) that the phase
+//! spawns and joins. Every other engine uses `k = 1`, which runs inline: no
+//! thread, no merge, no copy.
 //!
 //! This is precisely the communication model of paper §3 (no collision
 //! detection, collision ≡ silence, broadcasters hear only themselves).
@@ -98,18 +98,21 @@
 use crate::bitset::{BitSet, Intersection};
 use crate::ids::{GlobalChannel, LocalChannel, NodeId, Slot};
 use crate::network::Network;
-use crate::pool::WorkerPool;
 use crate::protocol::{Action, Feedback, NodeCtx, Protocol, SlotCtx};
 use crate::rng::{channel_slot_rng, stream_rng};
 use crate::spectrum::{SpectrumDynamics, SpectrumState};
 use rand::rngs::SmallRng;
 
 /// Node count at or above which a [`Resolver::ParallelSharded`] engine
-/// splits every phase across its worker pool. Below it, handing a slot to
-/// the pool costs more than splitting it saves: on a 2-vCPU host,
-/// `sharded(2)` against `Auto` measured 2.45× at n = 200, 1.04× at 1024,
-/// 1.01× at 2048 and 0.74× at 20 000 (Erdős–Rényi, average degree 8), and
-/// at n = 10⁶ each pooled phase beat its one-chunk run.
+/// splits every phase across threads. Each split phase spawns and joins
+/// its threads, so splitting pays only on large slots: on a 2-vCPU host
+/// (the engine bench's `Chatter`, sparse Erdős–Rényi with average degree
+/// 8, c = 3, fastest of 7 runs per round over 8 rounds), `sharded(2)`
+/// took 1.75–2.17× the slot time of `Auto` at n = 2048, 1.07–1.41× at
+/// 5000, 0.75–0.80× at 20 000 and 0.61–0.69× at 10⁵. Outside tests only
+/// 10⁵- and 10⁶-node runs build a split engine; the value stays at 2048
+/// so that the 2053-node differential legs keep exercising the split
+/// path.
 const POOL_MIN_NODES: usize = 2048;
 
 /// Channels-per-node bound at or below which the `Auto` strategy may fuse
@@ -210,12 +213,10 @@ pub enum Resolver {
     /// 2048 nodes, every phase of every slot splits into `threads` chunks —
     /// node ranges for collection and delivery, cost-balanced groups of
     /// touched channels for resolution — with chunk 0 on the calling thread
-    /// and the rest on an engine-owned [`WorkerPool`] (spawned on the first
-    /// such slot, parked between slots, re-sized if the thread count
-    /// changes, torn down on drop). Below 2048 nodes, or with
-    /// `threads ≤ 1`, the engine runs exactly the `Auto` path: handing a
-    /// small slot to the pool costs more than splitting it saves.
-    /// Bit-identical to `Auto` at any thread count.
+    /// and the rest on scoped threads the phase spawns and joins. Below
+    /// 2048 nodes, or with `threads ≤ 1`, the engine runs exactly the
+    /// `Auto` path: spawning threads for a small slot costs more than
+    /// splitting it saves. Bit-identical to `Auto` at any thread count.
     ParallelSharded {
         /// Threads per slot, the calling thread included.
         threads: usize,
@@ -310,7 +311,7 @@ pub struct Engine<'net, P: Protocol> {
     /// collection leaves the slot's table in `collect[0]` instead.
     table: ChannelTable,
     /// Per-group resolution state, long-lived across slots: `[0]` runs on
-    /// the calling thread, `[1..]` on the pool workers (allocated on the
+    /// the calling thread, `[1..]` on scoped threads (allocated on the
     /// first multi-group slot).
     shards: Vec<ShardSlot>,
     /// Per-channel cost proxies and group bounds for the resolution
@@ -320,10 +321,6 @@ pub struct Engine<'net, P: Protocol> {
     /// Per-chunk phase-3 counter deltas, merged into [`Counters`] in chunk
     /// order after the join.
     deliver: Vec<DeliverDelta>,
-    /// Persistent worker pool, spawned on the first multi-chunk slot (a
-    /// one-chunk engine never pays for it), parked between slots, re-sized
-    /// if the thread count changes, and torn down when the engine drops.
-    pool: Option<WorkerPool>,
     /// Cumulative per-phase wall-clock totals ([`Engine::set_phase_timing`]).
     /// `None` (the default) records nothing; `Some` pays ~5 monotonic clock
     /// reads per slot and is observationally invisible (see
@@ -347,7 +344,7 @@ pub type Probe<'a, 'b, 'net, P> = (u64, &'a mut (dyn FnMut(u64, &Engine<'net, P>
 /// value, and they are the engine's only clock reads. The guarantee
 /// "timers on vs off is bit-identical" is enforced by the lockstep
 /// differential in `tests/tests/metrics_equiv.rs` across all resolvers and
-/// thread counts, below and above the pooling size.
+/// thread counts, below and above the split threshold.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
     /// Slots measured (== slots stepped while timing was enabled).
@@ -726,9 +723,8 @@ struct Scratch {
 
 /// One resolution group's long-lived state: the epoch-stamped [`Scratch`]
 /// plus the outcome buffer a multi-group slot resolves into (group-local
-/// listener-position order, internal `Heard` ids). Each pool worker
-/// mutates only its own slot, which is what makes the fork-join hand-out
-/// race-free.
+/// listener-position order, internal `Heard` ids). Each thread of a split
+/// phase mutates only its own slot.
 struct ShardSlot {
     scratch: Scratch,
     out: Vec<u32>,
@@ -947,7 +943,7 @@ fn translate_label(xlate: &[u32], c: usize, v: usize, channel: LocalChannel) -> 
 /// collect the chunk's actions through [`Protocol::act`], translate
 /// and count them into the chunk's channel table, and counting-sort the
 /// chunk's nodes into its per-channel buckets. Identical on the calling
-/// thread and on a pool worker; touches only the chunk's disjoint slices
+/// thread and on a scoped thread; touches only the chunk's disjoint slices
 /// plus the shard's private state.
 #[allow(clippy::too_many_arguments)]
 fn collect_chunk<P: Protocol>(
@@ -1012,31 +1008,37 @@ fn collect_chunk<P: Protocol>(
     }
 }
 
-/// Runs `work(i, &mut task)` for the `i`-th of `tasks`: task 0 inline on
-/// the calling thread, the others on `pool`'s workers, returning once all
-/// are done. A single task runs inline and never touches the pool — no
-/// wake, no allocation, no join.
+/// Runs `work(i, &mut task)` for the `i`-th of `tasks`: task 0 on the
+/// calling thread, the others on scoped threads, returning once all are
+/// done. A single task runs inline and spawns nothing.
 ///
-/// # Panics
-/// Panics if there are two or more tasks and no pool, or more tasks than
-/// the pool has workers plus one.
-fn fork_join<T, F>(pool: Option<&mut WorkerPool>, tasks: impl IntoIterator<Item = T>, work: F)
+/// A panic in any task reaches the caller with its own payload: each
+/// handle is joined here and the first worker panic resumed, rather than
+/// left to the scope, which would replace it with a generic "a scoped
+/// thread panicked". A panic in task 0 unwinds out of the scope, which
+/// still joins every worker first.
+fn fork_join<T, F>(tasks: impl IntoIterator<Item = T>, work: F)
 where
     T: Send,
     F: Fn(usize, &mut T) + Sync,
 {
     let mut tasks = tasks.into_iter();
     let Some(mut first) = tasks.next() else { return };
-    let mut rest: Vec<T> = tasks.collect();
-    if rest.is_empty() {
+    let Some(second) = tasks.next() else { return work(0, &mut first) };
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = std::iter::once(second)
+            .chain(tasks)
+            .enumerate()
+            .map(|(i, mut task)| s.spawn(move || work(i + 1, &mut task)))
+            .collect();
         work(0, &mut first);
-    } else {
-        pool.expect("a multi-chunk phase runs on the engine's pool").run_with(
-            &mut rest,
-            |w, task| work(w + 1, task),
-            || work(0, &mut first),
-        );
-    }
+        for handle in handles {
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
 }
 
 /// `Σ_v min(deg(v), cap)` over `nodes`, estimated from at most 32
@@ -1085,9 +1087,8 @@ fn scan_listener(ig: &IntGraph, bcasters: &[u32], l: u32) -> u32 {
 /// Marks every broadcaster of touched channels `lo..hi` with its channel
 /// index under a fresh scratch epoch — one pass over the bucket range,
 /// valid for the whole range because a node broadcasts on at most one
-/// channel per slot and only *listeners* are ever re-stamped by the
-/// broadcaster-centric sweep (disjoint node sets). Enables the fused
-/// listener walk of [`resolve_listener_fused`]. Returns the epoch.
+/// channel per slot and the fused walk only reads the marks. Enables the
+/// fused listener walk of [`resolve_listener_fused`]. Returns the epoch.
 fn mark_broadcast_channels(
     scratch: &mut Scratch,
     table: &ChannelTable,
@@ -1263,9 +1264,11 @@ fn resolve_listener_centric(
 /// `(position-in-listener-list, listener, outcome)` triples (internal ids,
 /// packed outcomes). The caller guarantees both populations are non-empty.
 /// When `fused` carries the `(epoch, channel-tag)` of a
-/// [`mark_broadcast_channels`] sweep covering this channel, the listener
-/// side uses the fused walk instead of building a per-channel broadcaster
-/// set.
+/// [`mark_broadcast_channels`] sweep covering this channel, the fused
+/// listener walk resolves it outright: such groups hold near-empty
+/// buckets (see [`FUSED_MAX_AVG_BUCKET`]), on which the broadcaster sweep
+/// was never the cheaper estimate in the benchmark workloads or the
+/// quick experiment suite.
 fn resolve_channel_auto(
     ig: &IntGraph,
     scratch: &mut Scratch,
@@ -1275,6 +1278,9 @@ fn resolve_channel_auto(
     emit: &mut impl FnMut(usize, u32, u32),
 ) {
     debug_assert!(!bcasters.is_empty() && !listeners.is_empty());
+    if let Some((epoch, tag)) = fused {
+        return resolve_listener_fused(ig, scratch, epoch, tag, bcasters, listeners, emit);
+    }
     // Broadcaster side: one pass over all broadcasters' neighbor slices —
     // scattered increments, so weight them ~2× against the listener side's
     // sequential probes. Listener side: each listener pays the cheapest of
@@ -1283,25 +1289,14 @@ fn resolve_channel_auto(
     // choice needs the order of magnitude, and exact sums would cost a
     // random read per node — a measurable slice of dense slots. (Any choice
     // is observationally identical, so sampling can never change results.)
-    let d_b = approx_degree_sum(ig, bcasters, usize::MAX);
     let nb = bcasters.len();
-    let bcast_cost = listeners.len() + 2 * d_b;
-    if let Some((epoch, tag)) = fused {
-        let listen_cost = approx_degree_sum(ig, listeners, nb);
-        if bcast_cost <= listen_cost {
-            resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
-        } else {
-            resolve_listener_fused(ig, scratch, epoch, tag, bcasters, listeners, emit)
-        }
+    let bcast_cost = listeners.len() + 2 * approx_degree_sum(ig, bcasters, usize::MAX);
+    let words = scratch.bcast_bits.words().len().max(1);
+    let listen_cost = 2 * nb + approx_degree_sum(ig, listeners, nb.min(words));
+    if bcast_cost <= listen_cost {
+        resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
     } else {
-        let words = scratch.bcast_bits.words().len().max(1);
-        let per_listener_cap = nb.min(words);
-        let listen_cost = 2 * nb + approx_degree_sum(ig, listeners, per_listener_cap);
-        if bcast_cost <= listen_cost {
-            resolve_broadcaster_centric(ig, scratch, bcasters, listeners, emit)
-        } else {
-            resolve_listener_centric(ig, scratch, bcasters, listeners, emit)
-        }
+        resolve_listener_centric(ig, scratch, bcasters, listeners, emit)
     }
 }
 
@@ -1318,7 +1313,7 @@ struct SlotView<'a> {
 }
 
 /// Phase-2 work for touched channels `lo..hi`, identical inline and on a
-/// pool worker: emits `(position, listener, outcome)` for every listener
+/// scoped thread: emits `(position, listener, outcome)` for every listener
 /// that a broadcast or the primary user decides, with the position counted
 /// from the group's first listener and internal ids throughout. Listeners
 /// on a channel without broadcasters are not emitted; they keep the `Idle`
@@ -1465,7 +1460,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
             shard_weights: Vec::new(),
             shard_bounds: Vec::new(),
             deliver: Vec::new(),
-            pool: None,
             phase_timings: None,
         }
     }
@@ -1475,13 +1469,12 @@ impl<'net, P: Protocol> Engine<'net, P> {
     /// from `seed`, and zeroes the slot counter and [`Counters`].
     ///
     /// Everything expensive survives: the channel translation table, the
-    /// channel tables and buckets, the per-group scratch, and — crucially —
-    /// the persistent worker pool, whose threads stay parked rather than
-    /// being torn down and re-spawned. A reset engine is observationally
-    /// indistinguishable from a freshly constructed one (the epoch-stamped
-    /// scratch makes stale state invisible by construction; enforced by the
-    /// reuse regression test in `tests/tests/engine_equiv.rs`), so trial
-    /// harnesses can amortize engine setup across many runs.
+    /// channel tables and buckets, and the per-chunk and per-group scratch.
+    /// A reset engine is observationally indistinguishable from a freshly
+    /// constructed one (the epoch-stamped scratch makes stale state
+    /// invisible by construction; enforced by the reuse regression test in
+    /// `tests/tests/engine_equiv.rs`), so trial harnesses can amortize
+    /// engine setup across many runs.
     pub fn reset(&mut self, seed: u64, mut make: impl FnMut(NodeCtx) -> P) {
         let n = self.net.len();
         let c = self.c;
@@ -1571,7 +1564,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
     /// instances and their RNG streams are the run's state, not the
     /// engine's, and stay out. Reported next to the network footprint by
     /// the huge-sparse bench row to prove `O(n + m)` setup; the
-    /// `huge_smoke` CI gate asserts it both before and after a pooled run,
+    /// `huge_smoke` CI gate asserts it both before and after a split run,
     /// so an `O(n · threads)` buffer a multi-chunk slot allocates on first
     /// use shows up there.
     pub fn internal_memory_bytes(&self) -> usize {
@@ -1678,12 +1671,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
     {
         let slot = Slot(self.slot);
         let k = self.chunks();
-        if k > 1 && self.pool.as_ref().map(WorkerPool::workers) != Some(k - 1) {
-            // Spawned once and kept parked between slots; recreated (the
-            // old pool torn down gracefully) only when the thread count
-            // changes.
-            self.pool = Some(WorkerPool::new(k - 1));
-        }
 
         // Optional phase timing: one clock read here plus one per phase
         // boundary (laps share their boundary read). `None` when timing is
@@ -1755,7 +1742,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
             c,
             counters,
             spectrum,
-            pool,
             ..
         } = self;
         let (c, xlate, ext2int) = (*c, &xlate[..], &ext2int[..]);
@@ -1765,7 +1751,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
             .zip(node_plan.chunks_mut(chunk))
             .zip(outcomes.chunks_mut(chunk))
             .zip(collect.iter_mut());
-        fork_join(pool.as_mut(), tasks, |i, ((((protos, rngs), plan), outc), shard)| {
+        fork_join(tasks, |i, ((((protos, rngs), plan), outc), shard)| {
             collect_chunk(slot, i * chunk, xlate, ext2int, c, protos, rngs, plan, outc, shard);
         });
 
@@ -1800,7 +1786,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
 
     /// Phase 2: resolves every touched channel of the slot's table, as one
     /// group inline when `k == 1` or fewer than two channels are touched,
-    /// otherwise as up to `k` groups on the pool. Returns the group count.
+    /// otherwise as up to `k` groups in parallel. Returns the group count.
     ///
     /// The partition is contiguous in touched order and balanced by a
     /// deterministic per-channel cost proxy (`1 + L + Σ_b deg(b)`). Each
@@ -1822,7 +1808,6 @@ impl<'net, P: Protocol> Engine<'net, P> {
             shard_weights,
             shard_bounds,
             outcomes,
-            pool,
             spectrum,
             resolver,
             ..
@@ -1870,7 +1855,7 @@ impl<'net, P: Protocol> Engine<'net, P> {
         }
 
         let bounds: &[(usize, usize)] = shard_bounds;
-        fork_join(pool.as_mut(), bounds.iter().zip(shards.iter_mut()), |_, (group, shard)| {
+        fork_join(bounds.iter().zip(shards.iter_mut()), |_, (group, shard)| {
             let (lo, hi) = **group;
             let ShardSlot { scratch, out } = &mut **shard;
             out.clear();
@@ -1901,14 +1886,14 @@ impl<'net, P: Protocol> Engine<'net, P> {
         let n = self.net.len();
         let chunk = n.div_ceil(k).max(1);
         self.deliver.resize(n.div_ceil(chunk), DeliverDelta::default());
-        let Engine { protocols, rngs, outcomes, collect, deliver, counters, pool, .. } = self;
+        let Engine { protocols, rngs, outcomes, collect, deliver, counters, .. } = self;
         let actions: &[Action<P::Message>] = &collect[0].out;
         let tasks = protocols
             .chunks_mut(chunk)
             .zip(rngs.chunks_mut(chunk))
             .zip(outcomes.chunks(chunk))
             .zip(deliver.iter_mut());
-        fork_join(pool.as_mut(), tasks, |_, (((protos, rngs), outc), delta)| {
+        fork_join(tasks, |_, (((protos, rngs), outc), delta)| {
             **delta = count_outcomes(outc);
             for ((p, rng), &oc) in protos.iter_mut().zip(rngs.iter_mut()).zip(outc.iter()) {
                 p.feedback(&mut SlotCtx { slot, rng }, feedback_of(oc, actions));
@@ -2550,6 +2535,27 @@ mod tests {
                 assert_eq!(pt.resolve_sharded_slots, sharded, "n={n} after {slots} slots");
             }
             assert!(eng.counters().deliveries > 0, "n={n}: the ring must deliver");
+        }
+    }
+
+    #[test]
+    fn a_panic_in_a_split_chunk_reaches_the_caller_with_its_message() {
+        // The last node tunes to label c = 4, which `translate_label`
+        // rejects. On the split engines that node sits in a spawned
+        // thread's chunk, so its message must survive the join.
+        let n = POOL_MIN_NODES + 5;
+        let net = ring4(n);
+        for resolver in [Resolver::Auto, Resolver::sharded(2), Resolver::sharded(3)] {
+            let mut eng = Engine::with_resolver(&net, 3, resolver, |ctx| Fixed {
+                bcast: false,
+                ch: LocalChannel(if ctx.id.index() == n - 1 { 4 } else { 0 }),
+                heard: Vec::new(),
+                id: ctx.id.0,
+            });
+            let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.step()))
+                .expect_err("an out-of-range label must panic");
+            let message = payload.downcast_ref::<String>().map_or("", String::as_str);
+            assert!(message.contains("tuned to local channel"), "{resolver:?}: {message:?}");
         }
     }
 

@@ -50,11 +50,6 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny`, not `forbid`: the [`pool`] module is the single sanctioned home
-// of `unsafe` in this crate (the lifetime/aliasing erasures of a scoped
-// worker pool, with the safety argument documented there). Everything else
-// stays unsafe-free and the lint makes any new use a hard error.
-#![deny(unsafe_code)]
 
 pub mod bitset;
 pub mod channels;
@@ -64,7 +59,6 @@ pub mod graph;
 pub mod ids;
 pub mod metrics;
 pub mod network;
-pub mod pool;
 pub mod protocol;
 pub mod rng;
 pub mod spectrum;

@@ -65,11 +65,11 @@ const CHANNEL_STREAM_SALT: u64 = 0xC4A2_77E1_0B5D_93F6;
 /// draw from the stream keyed by *which slot and channel* is being resolved,
 /// never from a shared RNG advanced in resolution order. Keyed this way, the
 /// draws are independent of channel visit order — and therefore of how many
-/// [`WorkerPool`](crate::pool::WorkerPool) workers the channel-sharded
-/// resolver distributes a slot across, and of which worker ends up with
-/// which shard. The key is also independent of the *slot epoch*, so an
-/// engine reused via [`Engine::reset`](crate::engine::Engine::reset)
-/// reproduces a fresh engine's streams exactly.
+/// threads the channel-sharded resolver distributes a slot across, and of
+/// which thread ends up with which shard. The key is also independent of
+/// the *slot epoch*, so an engine reused via
+/// [`Engine::reset`](crate::engine::Engine::reset) reproduces a fresh
+/// engine's streams exactly.
 #[inline]
 pub fn channel_slot_seed(master: u64, slot: u64, channel: u32) -> u64 {
     join_stream_keys(slot_stream_key(master, slot), channel_stream_key(channel))

@@ -32,7 +32,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod campaign;
 pub mod experiments;

@@ -8,8 +8,8 @@
 //! networks through the resolvers side by side, including a proptest
 //! property over topology/channel-count/seed space, slot-by-slot lockstep
 //! comparison across repeated `step` calls on one engine instance, and
-//! engine reuse via [`Engine::reset`] (pool state must not leak between
-//! runs).
+//! engine reuse via [`Engine::reset`] (chunk and group scratch must not
+//! leak between runs).
 //!
 //! A sharded engine splits its phases only on networks of at least 2048
 //! nodes; below that it runs the one-chunk `Auto` path. The multi-chunk
@@ -17,7 +17,7 @@
 //! leaves a ragged final chunk at every thread count.
 //!
 //! The same standard applies to the engine's multi-chunk collection
-//! (node-range chunks on the worker pool, each calling [`Protocol::act`]
+//! (node-range chunks on scoped threads, each calling [`Protocol::act`]
 //! per node, merged by prefix-sum) and delivery (same chunking, each chunk
 //! decoding its outcomes into [`Protocol::feedback`] calls, per-chunk
 //! counter deltas merged in chunk order): both must be bit-identical to one
@@ -205,7 +205,7 @@ fn all_resolvers_agree_on_randomized_networks() {
 /// Mid-run resolver switches must not perturb the execution: the stream of
 /// observations is a function of (network, seed) only. On a network above
 /// the pooling size the rotation also changes the chunk count every slot
-/// (1, 3, 1, 2) and re-sizes the worker pool mid-run.
+/// (1, 3, 1, 2).
 #[test]
 fn switching_resolvers_mid_run_changes_nothing() {
     let net = big_network(1234);
@@ -238,9 +238,8 @@ fn switching_resolvers_mid_run_changes_nothing() {
 /// *same* engine instance: the sharded engine at threads {1, 2, 4, 8}
 /// above the pooling size must agree with a naive-resolver engine after
 /// **every** slot, not just at the end of a run — so a divergence
-/// introduced by pool state carried between slots (stale shard buffers, a
-/// missed wake, a stale generation) is pinned to the exact slot where it
-/// appears.
+/// introduced by state carried between slots (stale shard buffers or
+/// chunk tables) is pinned to the exact slot where it appears.
 #[test]
 fn pooled_engine_stays_in_lockstep_with_naive_across_steps() {
     let net = big_network(77);
@@ -381,7 +380,7 @@ fn dynamic_spectrum_pu_folding_stays_exact_under_pooled_delivery() {
 /// scratch allocated on the first pooled slot survives [`Engine::reset`]
 /// by design and must be observationally invisible — one engine running
 /// twice back-to-back (at *different* thread counts, so the scratch is
-/// re-chunked and the pool re-sized) reproduces the naive reference.
+/// re-chunked) reproduces the naive reference.
 /// [`BIG_N`] is prime, so both thread counts leave a ragged final chunk.
 #[test]
 fn pooled_delivery_survives_reset_and_odd_chunks() {
@@ -420,8 +419,7 @@ fn pooled_collection_survives_reset_and_odd_chunks() {
     assert_eq!(eng.counters(), ref_counters, "first pooled-collection run diverges");
 
     // Reset and rerun through 3 chunks, 1 chunk, and 2 chunks: chunk
-    // tables, local buckets, and the pool must all be observationally
-    // invisible.
+    // tables and local buckets must be observationally invisible.
     eng.reset(8, make);
     for resolver in [Resolver::sharded(3), Resolver::Auto, Resolver::sharded(2)] {
         eng.set_resolver(resolver);
@@ -436,11 +434,11 @@ fn pooled_collection_survives_reset_and_odd_chunks() {
 
 /// Engine-reuse regression: one engine, two full executions back-to-back
 /// via [`Engine::reset`], must reproduce what two *fresh* engines produce
-/// — guarding against pool or scratch state leaking from the first run
-/// into the second (the persistent worker pool, shard buffers, and epoch
-/// stamps all survive a reset by design and must be observationally
-/// invisible). Runs the one-chunk path on a small network and the
-/// four-chunk path above the pooling size.
+/// — guarding against scratch state leaking from the first run into the
+/// second (chunk tables, shard buffers, and epoch stamps all survive a
+/// reset by design and must be observationally invisible). Runs the
+/// one-chunk path on a small network and the four-chunk path above the
+/// pooling size.
 #[test]
 fn engine_reuse_via_reset_matches_fresh_engines() {
     let small = build_network(
